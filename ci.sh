@@ -104,40 +104,4 @@ step "serve (golden transcript + concurrent readers, DESIGN.md §6l)"
 cargo test -q --offline -p graphz-serve --test golden --test concurrent
 step_done
 
-step "bench: serve queries/sec (1/2/4 reader threads)"
-# Lockstep TCP clients measure full round-trip latency; single-core boxes
-# record scaling_valid: false (same contract as bench_ingest).
-cargo run --release --offline -q -p graphz-bench --bin bench_serve -- \
-  --scale 10 --edges 60000 --queries 4000 --threads 1,2,4 \
-  --out BENCH_serve.json > /dev/null
-step_done
-
-step "bench: pagerank throughput (small graph)"
-cargo run --release --offline -q -p graphz-bench --bin bench_throughput -- \
-  --scale 10 --edges 20000 --iterations 5 --budget-kib 8 \
-  --out BENCH_throughput.json
-step_done
-
-step "bench: ingest throughput (serial vs sharded parallel)"
-# Single-core machines will show speedup <= 1; the JSON records the core
-# count and marks the speedup verdict invalid there (speedup_valid: false).
-cargo run --release --offline -q -p graphz-bench --bin bench_ingest -- \
-  --scale 9 --edges 120000 --budget-kib 256 --threads 1,2,4 \
-  --out BENCH_ingest.json
-step_done
-
-step "bench: core×scale grid (crossover)"
-cargo run --release --offline -q -p graphz-bench --bin bench_grid -- \
-  --scales 8,10,12 --threads 1,2,4 --edges-factor 20 --iterations 5 \
-  --budget-kib 16 --out target/BENCH_grid.json > /dev/null
-step_done
-
-step "bench gate"
-# Fail on a >20% edges/sec regression at any grid point against the
-# committed baseline. The gate self-skips on single-core boxes and across
-# differing core counts, where wall-clock ratios are noise (DESIGN.md §6i).
-cargo run --release --offline -q -p graphz-bench --bin bench_gate -- \
-  --baseline BENCH_grid.json --current target/BENCH_grid.json --tolerance 0.20
-step_done
-
 echo "CI gate passed."

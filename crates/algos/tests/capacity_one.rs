@@ -94,7 +94,7 @@ fn six_algorithms_bit_identical_at_capacity_one() {
     for (i, algo) in Algorithm::all().into_iter().enumerate() {
         let fx = Fixture::new(graph_for(algo, 17 * (i as u64 + 1)));
         let params = params_for(algo);
-        // Starved budget: multiple partitions, multiple shards, spills.
+        // Starved budget: multiple partitions, spills.
         let budget = MemoryBudget::from_kib(1);
         let baseline = fx.run(&params, budget, EngineOptions::with_parallel_workers(1));
         for threads in [1usize, 2, 8] {

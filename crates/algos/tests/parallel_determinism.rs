@@ -1,8 +1,10 @@
-//! Parallel-Worker determinism: the shard schedule is a function of
-//! `worker_shards` alone, so any `pipeline_threads` value — and prefetch on
-//! or off — must produce bit-identical vertex arrays and identical message
-//! counters for every algorithm, including runs that spill messages across
-//! partitions and runs interrupted by a checkpoint/resume cycle.
+//! Thread-count determinism: the Worker runs the paper's sequential
+//! schedule for every `pipeline_threads` value, so any thread count — and
+//! prefetch on or off — must produce bit-identical vertex arrays and
+//! identical message counters for every algorithm, including runs that
+//! spill messages across partitions and runs interrupted by a
+//! checkpoint/resume cycle. The oracle is the single-threaded run of
+//! `EngineOptions::full()`.
 
 use std::sync::Arc;
 
@@ -60,6 +62,16 @@ impl Fixture {
     ) -> AlgoOutcome {
         let mut options = EngineOptions::with_parallel_workers(threads);
         options.prefetch = prefetch;
+        self.run_options(params, budget, options, ckpt)
+    }
+
+    fn run_options(
+        &self,
+        params: &AlgoParams,
+        budget: MemoryBudget,
+        options: EngineOptions,
+        ckpt: &CheckpointSpec,
+    ) -> AlgoOutcome {
         runner::run_graphz_configured(
             &self.dos,
             params,
@@ -93,25 +105,23 @@ fn graph_for(algo: Algorithm, seed: u64) -> Vec<Edge> {
 
 /// The headline guarantee: for all six algorithms, at a roomy and a starved
 /// budget, every {threads} × {prefetch} combination is bit-identical to the
-/// single-threaded run of the same shard schedule.
+/// sequential schedule — `EngineOptions::full()` on one pipeline thread.
 #[test]
 fn six_algorithms_bit_identical_across_threads_and_prefetch() {
     let none = CheckpointSpec::disabled();
+    let sequential = EngineOptions { pipeline_threads: 1, ..EngineOptions::full() };
     for (i, algo) in Algorithm::all().into_iter().enumerate() {
         let fx = Fixture::new(graph_for(algo, 11 * (i as u64 + 1)));
         let params = params_for(algo);
         for budget in [MemoryBudget::from_kib(8), MemoryBudget::from_kib(1)] {
-            let baseline = fx.run(&params, budget, 1, true, &none);
+            let baseline = fx.run_options(&params, budget, sequential, &none);
             for threads in [1usize, 2, 8] {
                 for prefetch in [true, false] {
-                    if threads == 1 && prefetch {
-                        continue; // that is the baseline itself
-                    }
                     let out = fx.run(&params, budget, threads, prefetch, &none);
                     assert_eq!(
                         baseline.values, out.values,
                         "{algo:?} at {budget}: threads={threads} prefetch={prefetch} \
-                         diverged from the single-threaded baseline"
+                         diverged from the sequential schedule"
                     );
                     assert_eq!(baseline.iterations, out.iterations, "{algo:?} iterations");
                     assert_eq!(baseline.messages, out.messages, "{algo:?} messages");
@@ -122,59 +132,9 @@ fn six_algorithms_bit_identical_across_threads_and_prefetch() {
     }
 }
 
-/// The adaptive cost model (`EngineOptions::adaptive`) rewrites the plan as
-/// a pure function of graph shape: a small graph degrades to the serial
-/// schedule (so it must match an explicitly-serial run bit for bit, at any
-/// pipeline width), and a large graph keeps its requested shards (so it
-/// must match the fixed-plan run bit for bit). Either way, nothing about
-/// thread count or timing may leak into the results.
-#[test]
-fn adaptive_plan_keeps_results_bit_identical() {
-    let none = CheckpointSpec::disabled();
-    let budget = MemoryBudget::from_kib(1);
-    let params = AlgoParams::new(Algorithm::Cc).with_max_iterations(300);
-    let run_opts = |fx: &Fixture, options: EngineOptions| {
-        runner::run_graphz_configured(&fx.dos, &params, budget, options, &none, Arc::clone(&fx.stats))
-            .unwrap()
-    };
-
-    // 1500 edges / 8 requested shards is far below the serial-degrade
-    // threshold: every adaptive run collapses to the serial schedule.
-    let fx = Fixture::new(symmetrized(power_law_graph(7, 1500)));
-    let serial = run_opts(&fx, EngineOptions::default());
-    for threads in [1usize, 2, 8] {
-        let mut options = EngineOptions::with_parallel_workers(threads);
-        options.adaptive = true;
-        let out = run_opts(&fx, options);
-        assert_eq!(serial.values, out.values, "degraded threads={threads}");
-        assert_eq!(serial.iterations, out.iterations, "degraded threads={threads}");
-        assert_eq!(serial.messages, out.messages, "degraded threads={threads}");
-        assert_eq!(serial.spilled, out.spilled, "degraded threads={threads}");
-    }
-
-    // A symmetrized 12_000-edge graph keeps all 8 shards busy above the
-    // threshold: adaptive must be a no-op against the fixed 8-shard plan.
-    let fx = Fixture::new(symmetrized(power_law_graph(7, 12_000)));
-    assert!(
-        fx.dos.meta().num_edges / 8 >= 1024,
-        "large fixture must stay above the serial-degrade threshold, got {}",
-        fx.dos.meta().num_edges
-    );
-    let baseline = fx.run(&params, budget, 8, true, &none);
-    for threads in [2usize, 8] {
-        let mut options = EngineOptions::with_parallel_workers(threads);
-        options.adaptive = true;
-        let out = run_opts(&fx, options);
-        assert_eq!(baseline.values, out.values, "parallel threads={threads}");
-        assert_eq!(baseline.iterations, out.iterations, "parallel threads={threads}");
-        assert_eq!(baseline.messages, out.messages, "parallel threads={threads}");
-        assert_eq!(baseline.spilled, out.spilled, "parallel threads={threads}");
-    }
-}
-
 /// A budget small enough to force many partitions *and* message spills:
-/// every partition still spans multiple shards, and the claimed-segment
-/// protocol (prefetcher pre-draining spilled runs) must not change results.
+/// the claimed-segment protocol (prefetcher pre-draining spilled runs) must
+/// not change results.
 #[test]
 fn spilled_multi_partition_run_is_deterministic() {
     let fx = Fixture::new(symmetrized(power_law_graph(99, 1500)));
@@ -206,8 +166,8 @@ fn checkpoint_resume_mid_run_matches_uninterrupted() {
     assert!(reference.converged);
     assert!(reference.iterations >= 2, "need room to interrupt: {}", reference.iterations);
 
-    // Stop strictly before the uninterrupted run converged (the parallel run
-    // follows the same schedule, so its trajectory is the same).
+    // Stop strictly before the uninterrupted run converged (every thread
+    // count follows the same schedule, so its trajectory is the same).
     let cut = (reference.iterations - 1).max(1);
     let gens = ScratchDir::new("par-det-gens").unwrap();
     let write = CheckpointSpec {

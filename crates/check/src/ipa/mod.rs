@@ -13,8 +13,7 @@
 //!   checked invariant.
 //! * `panic-freedom` — no unwrap/expect, release-enabled assert,
 //!   non-literal index/slice, or non-literal division reachable from the
-//!   compute phase entry points `Engine::run` drives (`ShardState::*`,
-//!   `Executor::*`, the shard-plan free functions).
+//!   compute phase entry points `Engine::run` drives (`ShardState::*`).
 //! * `fault-surface-reach` — every file-creating sink in io/extsort/storage
 //!   is FaultSurface-gated on **all call paths**. Closes the two holes in
 //!   flow's intraprocedural `fault-surface-bypass`: mechanism files were
@@ -106,25 +105,19 @@ const EXCLUDED: &[&str] = &[
     "crates/gen/",
 ];
 
-/// Hot-path entries: the per-message compute loop and the shard-local
-/// outbox send path (DESIGN.md §6d/§6i).
+/// Hot-path entries: the per-message compute loop and the deferred-message
+/// send path (DESIGN.md §6d/§6i).
 const HOT_ENTRIES: &[(&str, &str)] = &[("ShardState", "process"), ("ShardState", "defer")];
 
 /// Compute-phase entries: everything `Engine::run`'s iteration loop drives
-/// per batch — the shard plan, the executor feed/finish protocol, and the
-/// per-shard state machine (which fans out into every algorithm kernel).
+/// per partition — the Worker's state machine, which fans out into every
+/// algorithm kernel.
 const PANIC_ENTRIES: &[(&str, &str)] = &[
     ("ShardState", "start"),
+    ("ShardState", "replay"),
     ("ShardState", "process"),
     ("ShardState", "defer"),
     ("ShardState", "finish"),
-    ("Executor", "start"),
-    ("Executor", "feed"),
-    ("Executor", "finish"),
-    ("Executor", "finish_with"),
-    ("", "plan_shards"),
-    ("", "shard_of"),
-    ("", "split_batch"),
 ];
 
 /// Serve read-path entries: the four GraphView point-query methods every

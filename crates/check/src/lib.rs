@@ -2,8 +2,8 @@
 //!
 //! Two halves, both fully offline:
 //!
-//! * [`pipeline`] — a loom-lite model of the Sio → Dispatcher → Worker →
-//!   MsgManager → Prefetcher pipeline, run under the virtual scheduler in
+//! * [`pipeline`] — a loom-lite model of the Sio → Worker → Engine ⇄
+//!   MsgManager / Prefetcher pipeline, run under the virtual scheduler in
 //!   `crossbeam::model`. The schedule-exploration tests
 //!   (`tests/model_check.rs`) drive hundreds of seeded interleavings plus a
 //!   bounded exhaustive pass and assert bit-identical output and deadlock

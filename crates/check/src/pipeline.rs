@@ -1,29 +1,23 @@
 //! A virtual-scheduler model of the GraphZ engine pipeline.
 //!
-//! The real pipeline (paper §V Fig. 4, extended by the parallel Worker and
-//! the prefetcher) is rebuilt here as [`crossbeam::model`] nodes connected
-//! by bounded virtual channels:
+//! The real pipeline (paper §V Fig. 4, extended by the prefetcher) is
+//! rebuilt here as [`crossbeam::model`] nodes connected by bounded virtual
+//! channels:
 //!
 //! ```text
-//!                 sio2disp          disp2work[s]
-//!   Sio ────────────▶ Dispatcher ────────────▶ Worker s   (s = 0..shards)
-//!    ▲                                             │ work2eng
-//!    │ (reads "disk" blocks)                       ▼
-//!   Disk ◀──── Prefetcher ◀── eng2pf ─── Engine ◀──┘
-//!                 │  pf2eng        ▲       │ eng2mgr
-//!                 └────────────────┘       ▼
-//!                                      MsgManager ── mgr2eng ──▶ Engine
+//!          sio2work          work2eng          eng2mgr
+//!   Sio ─────────────▶ Worker ────────▶ Engine ─────────▶ MsgManager
+//!                                      │   ▲  ◀──────────────┘ mgr2eng
+//!                               eng2pf ▼   │ pf2eng
+//!                                   Prefetcher (reads the "disk")
 //! ```
 //!
 //! The modelled computation is message propagation over a tiny graph: each
 //! round, every vertex sends `1` to each out-neighbour, and applying a
 //! message increments the destination's counter. After `rounds` rounds the
 //! analytically known result is `counter(v) = rounds × in_degree(v)` — a
-//! value no admissible schedule may perturb. The shard routing uses the
-//! *real* engine functions ([`graphz_core::model_hooks::plan_shards`] /
-//! [`shard_of`]), so the model exercises the same deterministic scheduling
-//! decisions the engine makes, and the queue capacities come from the same
-//! constants via [`queue_caps`].
+//! value no admissible schedule may perturb. The queue capacities come from
+//! the engine's own constants via [`queue_caps`].
 //!
 //! What the explorer then checks (see `tests/model_check.rs`):
 //! * **Determinism** — bit-identical vertex output across hundreds of
@@ -31,14 +25,13 @@
 //! * **Deadlock freedom** — no schedule reaches a state where every
 //!   unfinished node is blocked (the wait-for graph stays acyclic).
 //!
-//! [`shard_of`]: graphz_core::model_hooks::shard_of
 //! [`queue_caps`]: graphz_core::model_hooks::queue_caps
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crossbeam::model::{ChanId, ModelSpec, Node, Poll, Queues, RecvState, Want};
-use graphz_core::model_hooks::{plan_shards, shard_of, queue_caps};
+use graphz_core::model_hooks::queue_caps;
 use graphz_types::EngineOptions;
 
 /// A tiny directed graph: `edges[v]` lists v's out-neighbours.
@@ -76,12 +69,10 @@ impl TinyGraph {
 /// Every message that flows through the virtual pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Msg {
-    /// Sio → Dispatcher: a raw "block" of adjacency data (vertex, neighbours).
-    Block { vertex: u32, neighbors: Vec<u32> },
-    /// Dispatcher → Worker: one vertex's adjacency routed to its shard.
+    /// Sio → Worker: one vertex's decoded adjacency list.
     Batch { vertex: u32, neighbors: Vec<u32> },
-    /// Worker → Engine: a shard's deferred messages, in shard send order.
-    ShardDone { shard: usize, deferred: Vec<(u32, u64)> },
+    /// Worker → Engine: the round's deferred messages, in send order.
+    WorkerDone { deferred: Vec<(u32, u64)> },
     /// Engine → MsgManager: buffer `(dst, value)` for the next round.
     Enqueue { dst: u32, value: u64 },
     /// Engine → MsgManager: hand over the round's buffered messages.
@@ -101,8 +92,7 @@ pub type Disk = Rc<RefCell<Vec<u64>>>;
 /// Channel ids for one built pipeline.
 #[derive(Debug, Clone)]
 pub struct Channels {
-    pub sio2disp: ChanId,
-    pub disp2work: Vec<ChanId>,
+    pub sio2work: ChanId,
     pub work2eng: ChanId,
     pub eng2mgr: ChanId,
     pub mgr2eng: ChanId,
@@ -118,8 +108,8 @@ pub struct Pipeline {
     pub nodes: Vec<Box<dyn Node<Msg>>>,
 }
 
-/// The Sio stage: streams each round's adjacency blocks to the Dispatcher,
-/// then closes. Re-armed by the Engine each round via a fresh node in the
+/// The Sio stage (with its Dispatcher): streams each round's adjacency lists
+/// to the Worker, then closes. Re-armed by the Engine each round via a fresh node in the
 /// next round's sub-run — here modelled as one node streaming all rounds
 /// (block order is fixed; only interleaving with other stages varies).
 struct Sio {
@@ -141,7 +131,7 @@ impl Node<Msg> for Sio {
             return Poll::Done;
         }
         let v = self.next_vertex;
-        let msg = Msg::Block { vertex: v, neighbors: self.graph.edges[v as usize].clone() };
+        let msg = Msg::Batch { vertex: v, neighbors: self.graph.edges[v as usize].clone() };
         match q.try_send(self.out, msg) {
             Ok(()) => {
                 self.next_vertex += 1;
@@ -156,54 +146,10 @@ impl Node<Msg> for Sio {
     }
 }
 
-/// The Dispatcher: routes each block to the Worker shard owning its vertex,
-/// using the engine's real shard plan.
-struct Dispatcher {
-    input: ChanId,
-    outputs: Vec<ChanId>,
-    plan: Vec<(u32, u32)>,
-    /// A block routed but not yet accepted by the full shard queue.
-    pending: Option<(usize, Msg)>,
-    closed: bool,
-}
-
-impl Node<Msg> for Dispatcher {
-    fn step(&mut self, q: &mut Queues<Msg>) -> Poll {
-        if let Some((shard, msg)) = self.pending.take() {
-            match q.try_send(self.outputs[shard], msg) {
-                Ok(()) => return Poll::Ran,
-                Err(msg) => {
-                    self.pending = Some((shard, msg));
-                    return Poll::Blocked(Want::Send(self.outputs[shard]));
-                }
-            }
-        }
-        match q.try_recv(self.input) {
-            RecvState::Msg(Msg::Block { vertex, neighbors }) => {
-                let shard = shard_of(&self.plan, vertex);
-                self.pending = Some((shard, Msg::Batch { vertex, neighbors }));
-                Poll::Ran
-            }
-            RecvState::Msg(_) => Poll::Ran, // protocol noise: ignore
-            RecvState::Empty => Poll::Blocked(Want::Recv(self.input)),
-            RecvState::Closed => {
-                if !self.closed {
-                    for &out in &self.outputs {
-                        q.close(out);
-                    }
-                    self.closed = true;
-                }
-                Poll::Done
-            }
-        }
-    }
-}
-
-/// One Worker shard: applies updates for its vertex range, defers every
-/// cross-vertex message (the model has no intra-shard fast path — all sends
-/// go through the ordered merge, the stricter configuration).
+/// The Worker: applies updates in vertex order and defers every message
+/// (the model has no dynamic fast path — all sends go through the
+/// MsgManager, the stricter configuration).
 struct Worker {
-    shard: usize,
     input: ChanId,
     output: ChanId,
     /// Batches processed this round; `per_round` triggers the barrier flush.
@@ -237,10 +183,8 @@ impl Node<Msg> for Worker {
                 self.seen += 1;
                 if self.seen == self.per_round {
                     self.seen = 0;
-                    self.pending = Some(Msg::ShardDone {
-                        shard: self.shard,
-                        deferred: std::mem::take(&mut self.deferred),
-                    });
+                    self.pending =
+                        Some(Msg::WorkerDone { deferred: std::mem::take(&mut self.deferred) });
                 }
                 Poll::Ran
             }
@@ -250,10 +194,8 @@ impl Node<Msg> for Worker {
                 self.done = true;
                 if !self.deferred.is_empty() {
                     // Residual flush (partition barrier at end of stream).
-                    self.pending = Some(Msg::ShardDone {
-                        shard: self.shard,
-                        deferred: std::mem::take(&mut self.deferred),
-                    });
+                    self.pending =
+                        Some(Msg::WorkerDone { deferred: std::mem::take(&mut self.deferred) });
                     return Poll::Ran;
                 }
                 Poll::Done
@@ -337,10 +279,10 @@ impl Node<Msg> for Prefetcher {
     }
 }
 
-/// The Engine: collects every shard's barrier results per round, merges
-/// deferred messages in `(shard, send-order)` sequence, routes them through
-/// the MsgManager, applies the drained stream to the disk snapshot obtained
-/// via the Prefetcher, and writes the round's state back to "disk".
+/// The Engine: takes the Worker's barrier result each round, routes its
+/// deferred messages through the MsgManager in send order, applies the
+/// drained stream to the disk snapshot obtained via the Prefetcher, and
+/// writes the round's state back to "disk".
 struct Engine {
     work_in: ChanId,
     mgr_out: ChanId,
@@ -350,13 +292,6 @@ struct Engine {
     rounds: u32,
     disk: Disk,
     round: u32,
-    /// Per-shard FIFO of barrier flushes. Rounds pipeline: a fast shard may
-    /// deliver round r+1's flush before a slow shard delivers round r's, so
-    /// each slot is a queue — per-channel FIFO guarantees a shard's flushes
-    /// arrive in round order, and the round barrier fires once *every*
-    /// shard's queue is non-empty. The merge pops exactly one flush per
-    /// shard, in shard-index order, never arrival order.
-    results: Vec<std::collections::VecDeque<Vec<(u32, u64)>>>,
     /// The drained message stream parked while awaiting the prefetcher.
     drained: Option<Vec<(u32, u64)>>,
     phase: EnginePhase,
@@ -366,7 +301,7 @@ struct Engine {
 
 #[derive(Debug, PartialEq)]
 enum EnginePhase {
-    CollectShards,
+    Barrier,
     AwaitDrain,
     AwaitPrefetch,
 }
@@ -389,29 +324,22 @@ impl Node<Msg> for Engine {
             return blocked;
         }
         match self.phase {
-            EnginePhase::CollectShards => match q.try_recv(self.work_in) {
-                RecvState::Msg(Msg::ShardDone { shard, deferred }) => {
-                    self.results[shard].push_back(deferred);
-                    if self.results.iter().all(|slot| !slot.is_empty()) {
-                        // Partition barrier: (shard, send-order) merge of
-                        // one flush per shard — the oldest (this round's).
-                        for slot in &mut self.results {
-                            for (dst, value) in slot.pop_front().unwrap_or_default() {
-                                self.outbox.push_back((
-                                    self.mgr_out,
-                                    Msg::Enqueue { dst, value },
-                                ));
-                            }
-                        }
-                        self.outbox.push_back((self.mgr_out, Msg::DrainRequest));
-                        self.phase = EnginePhase::AwaitDrain;
+            EnginePhase::Barrier => match q.try_recv(self.work_in) {
+                RecvState::Msg(Msg::WorkerDone { deferred }) => {
+                    // Partition barrier: enqueue in send order. Per-channel
+                    // FIFO hands over the rounds in order even when the
+                    // Worker runs a round ahead.
+                    for (dst, value) in deferred {
+                        self.outbox.push_back((self.mgr_out, Msg::Enqueue { dst, value }));
                     }
+                    self.outbox.push_back((self.mgr_out, Msg::DrainRequest));
+                    self.phase = EnginePhase::AwaitDrain;
                     Poll::Ran
                 }
                 RecvState::Msg(_) => Poll::Ran,
                 RecvState::Empty => Poll::Blocked(Want::Recv(self.work_in)),
                 RecvState::Closed => {
-                    // All workers gone: close downstream and finish.
+                    // Worker gone: close downstream and finish.
                     if !self.closed {
                         q.close(self.mgr_out);
                         q.close(self.pf_out);
@@ -438,17 +366,17 @@ impl Node<Msg> for Engine {
             },
             EnginePhase::AwaitPrefetch => match q.try_recv(self.pf_in) {
                 RecvState::Msg(Msg::PrefetchReady { mut counters, .. }) => {
-                    // apply_message in (shard, send-order) sequence.
+                    // apply_message in send order.
                     for (dst, value) in self.drained.take().unwrap_or_default() {
                         counters[dst as usize] += value;
                     }
                     *self.disk.borrow_mut() = counters;
                     self.round += 1;
-                    self.phase = EnginePhase::CollectShards;
+                    self.phase = EnginePhase::Barrier;
                     if self.round >= self.rounds {
                         // Final barrier: shut the pipeline down. Every
-                        // worker ShardDone has been consumed, so closing
-                        // here cannot strand a blocked sender.
+                        // WorkerDone has been consumed, so closing here
+                        // cannot strand a blocked sender.
                         if !self.closed {
                             q.close(self.mgr_out);
                             q.close(self.pf_out);
@@ -467,111 +395,68 @@ impl Node<Msg> for Engine {
 }
 
 /// Build the full pipeline model for `graph`, `rounds` rounds, and the
-/// queue capacities the engine would use under `options` (`worker_shards`
-/// picks the shard count of the real plan; `queue_cap` forces depths).
+/// queue capacities the engine would use under `options` (`queue_cap`
+/// forces depths).
 pub fn build(graph: &TinyGraph, rounds: u32, options: &EngineOptions) -> Pipeline {
-    // The real plan function (collapses to 1 shard below
-    // MIN_SHARD_VERTICES, exactly as the engine would for this partition).
-    let plan = plan_shards(0, graph.num_vertices(), options.worker_shards.max(1));
-    build_with_plan(graph, rounds, options, plan)
-}
-
-/// [`build`] with an explicit shard plan. The exhaustive 2-shard test uses
-/// this to model the sharded layout the engine produces for partitions
-/// above `MIN_SHARD_VERTICES`, scaled down to a state space a bounded
-/// exhaustive search can finish; routing still goes through the real
-/// [`shard_of`].
-pub fn build_with_plan(
-    graph: &TinyGraph,
-    rounds: u32,
-    options: &EngineOptions,
-    plan: Vec<(u32, u32)>,
-) -> Pipeline {
     let caps = queue_caps(options);
     let n = graph.num_vertices();
-    let shards = plan.len().max(1);
 
     let mut spec = ModelSpec::default();
-    let sio2disp = spec.channel("sio2disp", caps.sio);
-    let disp2work: Vec<ChanId> = (0..shards)
-        .map(|_| spec.channel("disp2work", caps.worker_jobs))
-        .collect();
-    let work2eng = spec.channel("work2eng", caps.worker_results);
+    let sio2work = spec.channel("sio2work", caps.sio);
+    // The Worker runs on the engine thread and hands over one partition's
+    // result at a time.
+    let work2eng = spec.channel("work2eng", 1);
     let eng2mgr = spec.channel("eng2mgr", caps.spill);
     let mgr2eng = spec.channel("mgr2eng", 1);
     let eng2pf = spec.channel("eng2pf", caps.prefetch);
     let pf2eng = spec.channel("pf2eng", caps.prefetch);
 
-    spec.node("sio", vec![sio2disp], vec![]);
-    spec.node("dispatcher", disp2work.clone(), vec![sio2disp]);
-    for &input in &disp2work {
-        spec.node("worker", vec![work2eng], vec![input]);
-    }
+    spec.node("sio", vec![sio2work], vec![]);
+    spec.node("worker", vec![work2eng], vec![sio2work]);
     spec.node("engine", vec![eng2mgr, eng2pf], vec![work2eng, mgr2eng, pf2eng]);
     spec.node("msgmanager", vec![mgr2eng], vec![eng2mgr]);
     spec.node("prefetcher", vec![pf2eng], vec![eng2pf]);
 
     let disk: Disk = Rc::new(RefCell::new(vec![0u64; n as usize]));
 
-    // Vertices per shard per round (each vertex = one Batch message).
-    let mut nodes: Vec<Box<dyn Node<Msg>>> = Vec::new();
-    nodes.push(Box::new(Sio {
-        graph: graph.clone(),
-        out: sio2disp,
-        rounds,
-        round: 0,
-        next_vertex: 0,
-        closed: false,
-    }));
-    nodes.push(Box::new(Dispatcher {
-        input: sio2disp,
-        outputs: disp2work.clone(),
-        plan: plan.clone(),
-        pending: None,
-        closed: false,
-    }));
-    for (s, &(lo, hi)) in plan.iter().enumerate() {
-        nodes.push(Box::new(Worker {
-            shard: s,
-            input: disp2work[s],
+    let nodes: Vec<Box<dyn Node<Msg>>> = vec![
+        Box::new(Sio {
+            graph: graph.clone(),
+            out: sio2work,
+            rounds,
+            round: 0,
+            next_vertex: 0,
+            closed: false,
+        }),
+        Box::new(Worker {
+            input: sio2work,
             output: work2eng,
             seen: 0,
-            per_round: hi - lo,
+            // One Batch per vertex per round.
+            per_round: n,
             deferred: Vec::new(),
             pending: None,
             done: false,
-        }));
-    }
-    nodes.push(Box::new(Engine {
-        work_in: work2eng,
-        mgr_out: eng2mgr,
-        mgr_in: mgr2eng,
-        pf_out: eng2pf,
-        pf_in: pf2eng,
-        rounds,
-        disk: Rc::clone(&disk),
-        round: 0,
-        results: (0..shards).map(|_| std::collections::VecDeque::new()).collect(),
-        drained: None,
-        phase: EnginePhase::CollectShards,
-        outbox: std::collections::VecDeque::new(),
-        closed: false,
-    }));
-    nodes.push(Box::new(MsgManager {
-        input: eng2mgr,
-        output: mgr2eng,
-        buffer: Vec::new(),
-        pending: None,
-    }));
-    nodes.push(Box::new(Prefetcher {
-        input: eng2pf,
-        output: pf2eng,
-        disk: Rc::clone(&disk),
-        pending: None,
-    }));
+        }),
+        Box::new(Engine {
+            work_in: work2eng,
+            mgr_out: eng2mgr,
+            mgr_in: mgr2eng,
+            pf_out: eng2pf,
+            pf_in: pf2eng,
+            rounds,
+            disk: Rc::clone(&disk),
+            round: 0,
+            drained: None,
+            phase: EnginePhase::Barrier,
+            outbox: std::collections::VecDeque::new(),
+            closed: false,
+        }),
+        Box::new(MsgManager { input: eng2mgr, output: mgr2eng, buffer: Vec::new(), pending: None }),
+        Box::new(Prefetcher { input: eng2pf, output: pf2eng, disk: Rc::clone(&disk), pending: None }),
+    ];
 
-    let channels =
-        Channels { sio2disp, disp2work, work2eng, eng2mgr, mgr2eng, eng2pf, pf2eng };
+    let channels = Channels { sio2work, work2eng, eng2mgr, mgr2eng, eng2pf, pf2eng };
     Pipeline { spec, channels, disk, nodes }
 }
 
@@ -612,15 +497,5 @@ mod tests {
         let edges: usize = graph.edges.iter().map(Vec::len).sum();
         assert_eq!(golden(&graph, 4).iter().sum::<u64>(), 4 * edges as u64);
         assert_eq!(golden(&graph, 1)[0], 2); // in-edges 4→0 and 5→0
-    }
-
-    #[test]
-    fn two_shard_plan_runs_and_matches_golden() {
-        let graph = TinyGraph::ring_with_chords();
-        let options = EngineOptions::default().with_queue_cap(1);
-        let mut p = build_with_plan(&graph, 2, &options, vec![(0, 3), (3, 6)]);
-        let run = run_model(&p.spec, &mut p.nodes, &mut SeededSchedule::new(9), 500_000);
-        assert_eq!(run.outcome, Outcome::Completed);
-        assert_eq!(*p.disk.borrow(), golden(&graph, 2));
     }
 }

@@ -2,7 +2,7 @@
 //! repository — including the engine hot path this crate certifies — must
 //! analyze clean, and seeded fixture trees must trip every rule through a
 //! *call chain*: an allocation in a helper the Worker loop calls, an
-//! unchecked index behind the Executor feed path, an ungated file-creating
+//! unchecked index behind the Worker replay path, an ungated file-creating
 //! sink reached through a mechanism file the flow pass exempts wholesale,
 //! a bare fs error `?`-crossing a crate boundary, and an allocation behind
 //! a GraphView point query on the serve read path. Fixture trees are
@@ -53,6 +53,7 @@ fn seed_fixture(root: &Path, suppress: bool) {
     };
 
     // hot-path-alloc: the per-message loop calls a helper that allocates.
+    // panic-freedom: an unchecked index in a helper the replay path calls.
     write(
         root,
         "crates/core/src/worker.rs",
@@ -63,28 +64,17 @@ fn seed_fixture(root: &Path, suppress: bool) {
              \x20       let buf = staging(n);\n\
              \x20       buf.len() as u64\n\
              \x20   }}\n\
+             \x20   pub fn replay(&self, xs: &[u32], i: usize) -> u32 {{\n\
+             \x20       pick(xs, i)\n\
+             \x20   }}\n\
              }}\n\
              fn staging(n: usize) -> Vec<u8> {{\n\
              {}    vec![0u8; n]\n\
-             }}\n",
-            allow("hot-path-alloc"),
-        ),
-    );
-
-    // panic-freedom: an unchecked index in a helper the feed path calls.
-    write(
-        root,
-        "crates/core/src/exec.rs",
-        &format!(
-            "pub struct Executor {{ shards: usize }}\n\
-             impl Executor {{\n\
-             \x20   pub fn feed(&self, xs: &[u32], i: usize) -> u32 {{\n\
-             \x20       pick(xs, i)\n\
-             \x20   }}\n\
              }}\n\
              fn pick(xs: &[u32], i: usize) -> u32 {{\n\
              {}    xs[i]\n\
              }}\n",
+            allow("hot-path-alloc"),
             allow("panic-freedom"),
         ),
     );

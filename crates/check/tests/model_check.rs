@@ -1,19 +1,19 @@
-//! Schedule-exploration gate over the pipeline model (ISSUE 3 tentpole).
+//! Schedule-exploration gate over the pipeline model.
 //!
 //! Three layers of evidence, all offline and deterministic:
 //!
 //! 1. **Seeded sweeps** — hundreds of pseudo-random schedules of the full
-//!    7-node pipeline (Sio → Dispatcher → Worker×N → Engine ⇄ MsgManager /
-//!    Prefetcher), at default queue capacities and at the adversarial
-//!    capacity-1 setting. Every schedule must complete (no deadlock, no
-//!    livelock) and leave bit-identical vertex state on the model disk.
-//! 2. **Exhaustive pass** — *every* schedule of a 2-shard / capacity-1
-//!    configuration, enumerated to completion (`complete == true`). The
-//!    full pipeline's schedule tree is beyond exhaustive enumeration (a
-//!    2M-schedule bounded probe did not exhaust it), so completeness is
-//!    proven on the minimal sub-model that still contains the race we care
-//!    about: two parallel Workers racing their barrier flushes into the
-//!    shared results queue, merged in (shard, send-order).
+//!    5-node pipeline (Sio → Worker → Engine ⇄ MsgManager / Prefetcher), at
+//!    default queue capacities and at the adversarial capacity-1 setting.
+//!    Every schedule must complete (no deadlock, no livelock) and leave
+//!    bit-identical vertex state on the model disk.
+//! 2. **Exhaustive pass** — *every* schedule of a capacity-1 configuration,
+//!    enumerated to completion (`complete == true`). The full pipeline's
+//!    schedule tree is beyond exhaustive enumeration (a 3M-schedule bounded
+//!    probe did not exhaust it even for a 1-vertex graph), so completeness
+//!    is proven on the minimal sub-model that still contains the handoff we
+//!    care about: the Sio thread racing the Worker over a capacity-1 batch
+//!    queue, and the Worker handing its barrier result to the Engine.
 //! 3. **Bounded exhaustive prefix** — the first `max_schedules` schedules
 //!    of the full pipeline's DFS tree at capacity 1, as a structured (not
 //!    random) probe of the exact interleavings nearest the all-zeros
@@ -27,8 +27,7 @@ use crossbeam::model::{
     explore_exhaustive, explore_seeded, ChanId, ModelSpec, Node, Outcome, Poll, Queues,
     RecvState, Want,
 };
-use graphz_check::pipeline::{build_with_plan, golden, Disk, Msg, Pipeline, TinyGraph};
-use graphz_core::model_hooks::shard_of;
+use graphz_check::pipeline::{build, golden, Disk, Msg, Pipeline, TinyGraph};
 use graphz_types::EngineOptions;
 
 /// Per-run output logs, index-aligned with a sweep's `runs` (the explorers
@@ -43,16 +42,29 @@ fn pipeline_factory(
     graph: TinyGraph,
     rounds: u32,
     options: EngineOptions,
-    plan: Vec<(u32, u32)>,
 ) -> (impl FnMut() -> Vec<Box<dyn Node<Msg>>>, DiskLog) {
     let disks: DiskLog = Rc::new(RefCell::new(Vec::new()));
     let log = Rc::clone(&disks);
     let make = move || {
-        let p: Pipeline = build_with_plan(&graph, rounds, &options, plan.clone());
+        let p: Pipeline = build(&graph, rounds, &options);
         log.borrow_mut().push(Rc::clone(&p.disk));
         p.nodes
     };
     (make, disks)
+}
+
+/// Assert every run completed and left the golden output on its disk.
+fn assert_all_golden(runs: &[crossbeam::model::RunResult], disks: &DiskLog, want: &[u64]) {
+    assert_eq!(runs.len(), disks.borrow().len());
+    for (i, (run, disk)) in runs.iter().zip(disks.borrow().iter()).enumerate() {
+        assert!(
+            !matches!(run.outcome, Outcome::Deadlock { .. }),
+            "schedule {i} deadlocked: {:?}",
+            run.outcome
+        );
+        assert_eq!(run.outcome, Outcome::Completed, "schedule {i} did not complete");
+        assert_eq!(*disk.borrow(), want, "schedule {i} diverged from golden output");
+    }
 }
 
 #[test]
@@ -60,31 +72,15 @@ fn seeded_sweep_explores_100_distinct_schedules_bit_identical() {
     let graph = TinyGraph::ring_with_chords();
     let rounds = 2;
     let want = golden(&graph, rounds);
-    let (make, disks) = pipeline_factory(
-        graph,
-        rounds,
-        EngineOptions::default(),
-        vec![(0, 3), (3, 6)],
-    );
-    let mut spec_pipe = build_with_plan(
-        &TinyGraph::ring_with_chords(),
-        rounds,
-        &EngineOptions::default(),
-        vec![(0, 3), (3, 6)],
-    );
-    spec_pipe.nodes.clear(); // only the spec is needed here
-    let sweep = explore_seeded(&spec_pipe.spec, make, 0..160, 500_000);
+    let options = EngineOptions::default();
+    let spec = build(&graph, rounds, &options).spec;
+    let (make, disks) = pipeline_factory(graph, rounds, options);
+    let sweep = explore_seeded(&spec, make, 0..160, 500_000);
 
     assert_eq!(sweep.runs.len(), 160);
-    assert!(
-        sweep.distinct >= 100,
-        "want >= 100 distinct schedules, got {}",
-        sweep.distinct
-    );
-    for ((seed, run), disk) in sweep.runs.iter().zip(disks.borrow().iter()) {
-        assert_eq!(run.outcome, Outcome::Completed, "seed {seed} did not complete");
-        assert_eq!(*disk.borrow(), want, "seed {seed} diverged from golden output");
-    }
+    assert!(sweep.distinct >= 100, "want >= 100 distinct schedules, got {}", sweep.distinct);
+    let runs: Vec<_> = sweep.runs.into_iter().map(|(_, run)| run).collect();
+    assert_all_golden(&runs, &disks, &want);
 }
 
 #[test]
@@ -93,84 +89,55 @@ fn seeded_sweep_capacity_one_no_deadlock_bit_identical() {
     let rounds = 2;
     let want = golden(&graph, rounds);
     let options = EngineOptions::default().with_queue_cap(1);
-    let (make, disks) =
-        pipeline_factory(graph, rounds, options, vec![(0, 2), (2, 4), (4, 6)]);
-    let spec_pipe = build_with_plan(
-        &TinyGraph::ring_with_chords(),
-        rounds,
-        &options,
-        vec![(0, 2), (2, 4), (4, 6)],
-    );
-    let sweep = explore_seeded(&spec_pipe.spec, make, 0..160, 500_000);
+    let spec = build(&graph, rounds, &options).spec;
+    let (make, disks) = pipeline_factory(graph, rounds, options);
+    let sweep = explore_seeded(&spec, make, 0..160, 500_000);
 
     assert!(sweep.distinct >= 100, "got {} distinct", sweep.distinct);
-    for ((seed, run), disk) in sweep.runs.iter().zip(disks.borrow().iter()) {
-        assert!(
-            !matches!(run.outcome, Outcome::Deadlock { .. }),
-            "seed {seed} deadlocked: {:?}",
-            run.outcome
-        );
-        assert_eq!(run.outcome, Outcome::Completed, "seed {seed} did not complete");
-        assert_eq!(*disk.borrow(), want, "seed {seed} diverged at capacity 1");
-    }
+    let runs: Vec<_> = sweep.runs.into_iter().map(|(_, run)| run).collect();
+    assert_all_golden(&runs, &disks, &want);
 }
 
 #[test]
 fn bounded_exhaustive_prefix_full_pipeline_capacity_one() {
-    // 4-vertex cycle, 2 real shards, every queue at capacity 1, 1 round.
-    // The full tree exceeds 2M schedules; this enumerates the DFS prefix.
+    // 4-vertex cycle, every queue at capacity 1, 1 round. The full tree is
+    // too large to finish; this enumerates the DFS prefix.
     let graph = TinyGraph { edges: vec![vec![1], vec![2], vec![3], vec![0]] };
     let want = golden(&graph, 1);
     let options = EngineOptions::default().with_queue_cap(1);
-    let (make, disks) =
-        pipeline_factory(graph, 1, options, vec![(0, 2), (2, 4)]);
-    let spec_pipe = build_with_plan(
-        &TinyGraph { edges: vec![vec![1], vec![2], vec![3], vec![0]] },
-        1,
-        &options,
-        vec![(0, 2), (2, 4)],
-    );
-    let sweep = explore_exhaustive(&spec_pipe.spec, make, 100_000, 3_000);
+    let spec = build(&graph, 1, &options).spec;
+    let (make, disks) = pipeline_factory(graph, 1, options);
+    let sweep = explore_exhaustive(&spec, make, 100_000, 3_000);
 
     assert!(!sweep.runs.is_empty());
-    for (i, run) in sweep.runs.iter().enumerate() {
-        assert!(
-            !matches!(run.outcome, Outcome::Deadlock { .. }),
-            "schedule {i} deadlocked: {:?}",
-            run.outcome
-        );
-        assert_eq!(run.outcome, Outcome::Completed, "schedule {i} did not complete");
-        assert_eq!(*disks.borrow()[i].borrow(), want, "schedule {i} diverged");
-    }
+    assert_all_golden(&sweep.runs, &disks, &want);
 }
 
 // ---------------------------------------------------------------------------
-// Exhaustive (complete) pass on the minimal 2-shard / capacity-1 sub-model.
+// Exhaustive (complete) pass on the minimal capacity-1 sub-model.
 // ---------------------------------------------------------------------------
 
-/// Dispatcher half of the sub-model: routes each vertex's batch to its
-/// shard's capacity-1 queue via the engine's real [`shard_of`], then closes.
-struct MiniDispatcher {
-    items: VecDeque<(usize, Msg)>,
-    outs: Vec<ChanId>,
+/// Sio half of the sub-model: streams each vertex's batch into the
+/// capacity-1 Worker queue, then closes it.
+struct MiniSio {
+    items: VecDeque<Msg>,
+    out: ChanId,
     closed: bool,
 }
 
-impl Node<Msg> for MiniDispatcher {
+impl Node<Msg> for MiniSio {
     fn step(&mut self, q: &mut Queues<Msg>) -> Poll {
-        if let Some((shard, msg)) = self.items.pop_front() {
-            match q.try_send(self.outs[shard], msg) {
+        if let Some(msg) = self.items.pop_front() {
+            match q.try_send(self.out, msg) {
                 Ok(()) => Poll::Ran,
                 Err(msg) => {
-                    self.items.push_front((shard, msg));
-                    Poll::Blocked(Want::Send(self.outs[shard]))
+                    self.items.push_front(msg);
+                    Poll::Blocked(Want::Send(self.out))
                 }
             }
         } else {
             if !self.closed {
-                for &c in &self.outs {
-                    q.close(c);
-                }
+                q.close(self.out);
                 self.closed = true;
             }
             Poll::Done
@@ -178,10 +145,9 @@ impl Node<Msg> for MiniDispatcher {
     }
 }
 
-/// Worker half: defers one message per out-edge, flushes the shard's
-/// barrier result into the shared capacity-1 results queue on close.
+/// Worker half: defers one message per out-edge, hands the barrier result
+/// to the capacity-1 Engine queue on close.
 struct MiniWorker {
-    shard: usize,
     input: ChanId,
     output: ChanId,
     deferred: Vec<(u32, u64)>,
@@ -214,45 +180,29 @@ impl Node<Msg> for MiniWorker {
             RecvState::Empty => Poll::Blocked(Want::Recv(self.input)),
             RecvState::Closed => {
                 self.done = true;
-                self.pending = Some(Msg::ShardDone {
-                    shard: self.shard,
-                    deferred: std::mem::take(&mut self.deferred),
-                });
+                self.pending =
+                    Some(Msg::WorkerDone { deferred: std::mem::take(&mut self.deferred) });
                 Poll::Ran
             }
         }
     }
 }
 
-/// Merger half: slot-per-shard collection, merge strictly in (shard,
-/// send-order) — arrival order must not matter, which is exactly what the
-/// exhaustive sweep proves.
-struct MiniMerger {
+/// Engine half: applies the Worker's deferred messages in send order.
+struct MiniEngine {
     input: ChanId,
-    slots: Vec<Option<Vec<(u32, u64)>>>,
-    got: usize,
-    out: Rc<RefCell<Vec<u64>>>,
+    out: Counters,
 }
 
-impl Node<Msg> for MiniMerger {
+impl Node<Msg> for MiniEngine {
     fn step(&mut self, q: &mut Queues<Msg>) -> Poll {
-        if self.got == self.slots.len() {
-            return Poll::Done;
-        }
         match q.try_recv(self.input) {
-            RecvState::Msg(Msg::ShardDone { shard, deferred }) => {
-                self.slots[shard] = Some(deferred);
-                self.got += 1;
-                if self.got == self.slots.len() {
-                    let mut counters = self.out.borrow_mut();
-                    for slot in &mut self.slots {
-                        for (dst, value) in slot.take().unwrap_or_default() {
-                            counters[dst as usize] += value;
-                        }
-                    }
-                    return Poll::Done;
+            RecvState::Msg(Msg::WorkerDone { deferred }) => {
+                let mut counters = self.out.borrow_mut();
+                for (dst, value) in deferred {
+                    counters[dst as usize] += value;
                 }
-                Poll::Ran
+                Poll::Done
             }
             RecvState::Msg(_) => Poll::Ran,
             RecvState::Empty => Poll::Blocked(Want::Recv(self.input)),
@@ -261,68 +211,46 @@ impl Node<Msg> for MiniMerger {
     }
 }
 
-fn mini_model(
-    graph: &TinyGraph,
-    plan: &[(u32, u32)],
-) -> (ModelSpec, impl FnMut() -> Vec<Box<dyn Node<Msg>>>, CounterLog)
-{
-    let shards = plan.len();
+fn mini_model(graph: &TinyGraph) -> (ModelSpec, impl FnMut() -> Vec<Box<dyn Node<Msg>>>, CounterLog) {
     let mut spec = ModelSpec::default();
-    let work: Vec<ChanId> = (0..shards).map(|_| spec.channel("disp2work", 1)).collect();
-    let merge = spec.channel("work2merge", 1);
-    spec.node("dispatcher", work.clone(), vec![]);
-    for &w in &work {
-        spec.node("worker", vec![merge], vec![w]);
-    }
-    spec.node("merger", vec![], vec![merge]);
+    let work = spec.channel("sio2work", 1);
+    let eng = spec.channel("work2eng", 1);
+    spec.node("sio", vec![work], vec![]);
+    spec.node("worker", vec![eng], vec![work]);
+    spec.node("engine", vec![], vec![eng]);
 
     let graph = graph.clone();
-    let plan: Vec<(u32, u32)> = plan.to_vec();
     let outs: CounterLog = Rc::new(RefCell::new(Vec::new()));
     let log = Rc::clone(&outs);
     let make = move || {
-        let items: VecDeque<(usize, Msg)> = (0..graph.num_vertices())
-            .map(|v| {
-                (
-                    shard_of(&plan, v),
-                    Msg::Batch { vertex: v, neighbors: graph.edges[v as usize].clone() },
-                )
-            })
+        let items: VecDeque<Msg> = (0..graph.num_vertices())
+            .map(|v| Msg::Batch { vertex: v, neighbors: graph.edges[v as usize].clone() })
             .collect();
         let out = Rc::new(RefCell::new(vec![0u64; graph.num_vertices() as usize]));
         log.borrow_mut().push(Rc::clone(&out));
-        let mut nodes: Vec<Box<dyn Node<Msg>>> = Vec::new();
-        nodes.push(Box::new(MiniDispatcher { items, outs: work.clone(), closed: false }));
-        for (s, &w) in work.iter().enumerate() {
-            nodes.push(Box::new(MiniWorker {
-                shard: s,
-                input: w,
-                output: merge,
+        let nodes: Vec<Box<dyn Node<Msg>>> = vec![
+            Box::new(MiniSio { items, out: work, closed: false }),
+            Box::new(MiniWorker {
+                input: work,
+                output: eng,
                 deferred: Vec::new(),
                 pending: None,
                 done: false,
-            }));
-        }
-        nodes.push(Box::new(MiniMerger {
-            input: merge,
-            slots: (0..shards).map(|_| None).collect(),
-            got: 0,
-            out,
-        }));
+            }),
+            Box::new(MiniEngine { input: eng, out }),
+        ];
         nodes
     };
     (spec, make, outs)
 }
 
 #[test]
-fn exhaustive_two_shard_capacity_one_complete_and_bit_identical() {
-    // 2-vertex cycle, one vertex per shard; every queue capacity 1. Small
-    // enough that the DFS enumerates the *entire* schedule tree (even the
-    // 4-vertex sub-model exceeds 500k schedules — interleaving explosion).
-    let graph = TinyGraph { edges: vec![vec![1], vec![0]] };
-    let plan = [(0u32, 1u32), (1, 2)];
+fn exhaustive_capacity_one_complete_and_bit_identical() {
+    // 4-vertex cycle with a chord; every queue capacity 1. Small enough that
+    // the DFS enumerates the *entire* schedule tree.
+    let graph = TinyGraph { edges: vec![vec![1, 2], vec![2], vec![3], vec![0]] };
     let want = golden(&graph, 1);
-    let (spec, make, outs) = mini_model(&graph, &plan);
+    let (spec, make, outs) = mini_model(&graph);
     let sweep = explore_exhaustive(&spec, make, 10_000, 500_000);
 
     assert!(

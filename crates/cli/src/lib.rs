@@ -254,7 +254,7 @@ pub const COMMANDS: &[CommandSpec] = &[
             FlagSpec { name: "--checkpoint-dir", value: Some("D"), help: "write crash-safe generations under D" },
             FlagSpec { name: "--checkpoint-every", value: Some("N"), help: "iterations per generation (default 1)" },
             FlagSpec { name: "--resume", value: None, help: "continue from the newest valid generation" },
-            FlagSpec { name: "--threads", value: Some("N"), help: "worker threads (default: core count)" },
+            FlagSpec { name: "--threads", value: Some("N"), help: "pipeline threads; results are identical for every N (default: core count)" },
             FlagSpec { name: "--no-prefetch", value: None, help: "disable the background partition loader" },
             FlagSpec { name: "--verbose", value: None, help: "print per-stage wall times and prefetch counters" },
         ],
@@ -263,9 +263,9 @@ pub const COMMANDS: &[CommandSpec] = &[
                   under D after every N completed iterations (default 1); --resume continues\n\
                   from the newest valid generation, skipping any damaged by a crash.\n\
                   \n\
-                  Parallelism: --threads defaults to the core count. With N >= 2 the Worker\n\
-                  runs a fixed 8-shard schedule per partition, so every N >= 2 produces\n\
-                  bit-identical results; --threads 1 is the paper's sequential schedule.\n\
+                  Parallelism: --threads defaults to the core count. With N >= 2, Sio reads\n\
+                  the next adjacency blocks on its own thread while the Worker runs the\n\
+                  paper's sequential schedule, so results are identical for every --threads.\n\
                   --no-prefetch disables the background partition loader (results are\n\
                   identical either way). --verbose prints per-stage wall times and prefetch\n\
                   hit/stall counters.",
@@ -754,13 +754,9 @@ pub fn execute(cmd: Command) -> Result<String> {
                 every: checkpoint_every,
                 resume,
             };
-            // Any thread count >= 2 executes the same fixed shard schedule,
-            // so results depend only on whether workers are parallel at all.
-            let mut options = if threads > 1 {
-                EngineOptions::with_parallel_workers(threads)
-            } else {
-                EngineOptions::full()
-            };
+            // Threads only overlap IO with compute: the Worker schedule, and
+            // with it every result, is identical for every --threads value.
+            let mut options = EngineOptions::with_parallel_workers(threads);
             options.prefetch = prefetch;
             let outcome = runner::run_graphz_configured(
                 &dos,

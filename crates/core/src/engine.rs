@@ -64,7 +64,12 @@ use crate::prefetch::{Prefetched, Prefetcher};
 use crate::program::VertexProgram;
 use crate::sio;
 use crate::store::GraphStore;
-use crate::worker::{self, Executor, ShardStart};
+use crate::worker::ShardState;
+
+/// Prefetch pays only when a *third* partition exists: with two or fewer,
+/// the "next" partition is the one the barrier is about to need anyway, and
+/// the prefetcher only fights the live partition for the budget.
+const MIN_PREFETCH_PARTITIONS: u32 = 3;
 
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
@@ -145,10 +150,10 @@ pub struct StageTimes {
     /// Loading the partition index and vertex slab (or waiting for the
     /// prefetcher to deliver them).
     pub load: Duration,
-    /// Draining and routing pending messages to shards.
+    /// Replaying the partition's pending messages.
     pub replay: Duration,
-    /// Streaming adjacency batches through the Worker stage and merging the
-    /// barrier results.
+    /// Streaming adjacency batches through the Worker stage and handing its
+    /// deferred messages to the MsgManager.
     pub compute: Duration,
     /// Writing the partition's vertex slab back to disk.
     pub flush: Duration,
@@ -225,9 +230,6 @@ pub struct RunSummary {
     pub stages: StageTimes,
     /// Batch-pool allocation/reuse counters over the whole run.
     pub pool: sio::PoolCounters,
-    /// The execution plan the run resolved to (adaptive degrade, prefetch
-    /// gating) — a pure function of graph shape and options.
-    pub plan: graphz_types::ExecutionPlan,
     /// Per-iteration progress (one entry per executed iteration).
     pub per_iteration: Vec<IterationStats>,
 }
@@ -235,7 +237,7 @@ pub struct RunSummary {
 /// The GraphZ engine, generic over the vertex program.
 pub struct Engine<P: VertexProgram> {
     store: Arc<dyn GraphStore>,
-    program: Arc<P>,
+    program: P,
     config: EngineConfig,
     stats: Arc<IoStats>,
     scratch: ScratchDir,
@@ -274,7 +276,7 @@ impl<P: VertexProgram> Engine<P> {
         let vertices_path = scratch.file("vertices.bin");
         Ok(Engine {
             store: Arc::from(store),
-            program: Arc::new(program),
+            program,
             config,
             stats,
             scratch,
@@ -346,50 +348,29 @@ impl<P: VertexProgram> Engine<P> {
         let mut stages_total = StageTimes::default();
         let mut pool_counters = sio::PoolCounters::default();
 
-        // Resolve the execution plan once per run: a pure function of the
-        // graph's shape and the options (never thread availability or
-        // timing), so the logical schedule — and with it the result bits —
-        // is a constant of the configuration.
-        let plan_cfg = self
-            .config
-            .options
-            .plan_execution(self.store.num_edges(), self.partitions.num_partitions());
-
         if num_vertices > 0 {
             let mut vfile = TrackedFile::open_rw(&self.vertices_path, Arc::clone(&self.stats))
                 .ctx("open-rw", &self.vertices_path)?;
             let mut slab_bytes: Vec<u8> = Vec::new();
             let dynamic = self.config.options.dynamic_messages;
-            let max_shards = plan_cfg.worker_shards;
-            let pipeline_threads = plan_cfg.pipeline_threads;
-            let per_partition = self.partitions.per_partition();
+            let pipelined = self.config.options.pipeline_threads > 1;
+            let mut worker: ShardState<P> =
+                ShardState::new(num_vertices, self.partitions.per_partition(), dynamic);
 
-            // The Worker stage: a persistent pool when pipelined, the same
-            // sharded schedule run inline otherwise. Lives for the whole
-            // run — no per-batch or per-partition spawns.
-            //
             // The batch pool persists across partitions *and* iterations,
             // pre-warmed to the pipeline's maximum in-flight batch count
-            // (producer hand + Sio queue + straddler slices in the engine's
-            // hand + every worker queue slot + every worker's hand): after
-            // the buffers grow to their working size in iteration 1, no
-            // take() ever mints a fresh batch again.
+            // (Sio's hand + the Sio queue + the Worker's hand): after the
+            // buffers grow to their working size in iteration 1, no take()
+            // ever mints a fresh batch again.
             let queue_cap = self.config.options.queue_cap;
             let sio_cap = queue_cap.unwrap_or(sio::DEFAULT_SIO_QUEUE_CAP).max(1);
-            let job_cap = queue_cap.unwrap_or(worker::DEFAULT_JOB_QUEUE_CAP).max(1);
-            let pool_cap = 2 + sio_cap + max_shards + pipeline_threads * (job_cap + 1);
-            let batch_pool = sio::BatchPool::prewarmed(pool_cap);
-            let mut executor: Executor<P> = Executor::new(
-                pipeline_threads,
-                max_shards,
-                queue_cap,
-                Arc::clone(&self.program),
-                Arc::clone(&batch_pool),
-            )?;
+            let batch_pool = sio::BatchPool::prewarmed(2 + sio_cap);
 
-            // Double-buffered partition prefetcher; the plan enables it only
-            // when enough partitions exist to hide a load behind compute.
-            let mut prefetcher: Option<Prefetcher<P>> = if plan_cfg.prefetch {
+            // Double-buffered partition prefetcher, run only when enough
+            // partitions exist to hide a load behind compute.
+            let mut prefetcher: Option<Prefetcher<P>> = if self.config.options.prefetch
+                && self.partitions.num_partitions() >= MIN_PREFETCH_PARTITIONS
+            {
                 Some(Prefetcher::spawn(
                     Arc::clone(&self.store),
                     &self.vertices_path,
@@ -466,51 +447,23 @@ impl<P: VertexProgram> Engine<P> {
 
                     // Replay pending messages in send order: the claimed
                     // (prefetched) run is oldest, then whatever the
-                    // MsgManager still holds. Routing the stream by shard
-                    // preserves per-vertex order — each vertex lives in
-                    // exactly one shard — so the result is identical to a
-                    // sequential replay (paper §V-C: "To accelerate this
-                    // process, it is parallelized").
-                    let plan = worker::plan_shards(a, b, max_shards);
-                    let mut replay_groups: Vec<Vec<(VertexId, P::Message)>> =
-                        plan.iter().map(|_| Vec::new()).collect();
+                    // MsgManager still holds.
+                    worker.start(a, slab, iter);
                     let pre_count = pre_msgs.len() as u64;
                     for (dst, msg) in pre_msgs {
-                        replay_groups[worker::shard_of(&plan, dst)].push((dst, msg));
+                        worker.replay(&self.program, dst, &msg);
                     }
                     if let Some(c) = &claim {
                         // Commits the prefetched messages: retire their
                         // segments *before* draining the remainder.
                         self.msgs.consume_claimed(c, pre_count)?;
                     }
-                    self.msgs.drain(part, |dst, msg| {
-                        replay_groups[worker::shard_of(&plan, dst)].push((dst, msg));
-                    })?;
-
-                    // Hand each shard its slice of the slab and its replay
-                    // stream; workers replay concurrently.
-                    let mut rest = slab;
-                    for ((shard, &(lo, hi)), replay) in
-                        plan.iter().enumerate().zip(replay_groups)
-                    {
-                        let tail = rest.split_off((hi - lo) as usize);
-                        let data = std::mem::replace(&mut rest, tail);
-                        executor.start(ShardStart {
-                            shard,
-                            first: lo,
-                            end: hi,
-                            data,
-                            replay,
-                            iteration: iter,
-                            num_vertices,
-                            dynamic,
-                            per_partition,
-                        })?;
-                    }
+                    let program = &self.program;
+                    self.msgs.drain(part, |dst, msg| worker.replay(program, dst, &msg))?;
                     iter_stages.replay += t_replay.elapsed();
                     let t_compute = Instant::now();
 
-                    // Sio/Dispatcher stream feeding the Worker shards.
+                    // Sio/Dispatcher stream feeding the Worker.
                     let stream = sio::stream_partition_weighted(
                         &self.store.edges_path(),
                         self.store.weights_path().as_deref(),
@@ -519,53 +472,25 @@ impl<P: VertexProgram> Engine<P> {
                         degrees,
                         self.config.batch_edges,
                         Arc::clone(&self.stats),
-                        pipeline_threads > 1,
+                        pipelined,
                         Some(Arc::clone(&batch_pool)),
                         queue_cap,
                     )?;
                     for batch in stream {
-                        for (shard, piece) in worker::split_batch(batch?, &plan, &batch_pool) {
-                            executor.feed(shard, piece)?;
-                        }
+                        let batch = batch?;
+                        worker.process(&self.program, &batch);
+                        batch_pool.put(batch);
                     }
 
-                    // Partition barrier, streamed: each shard's slab slice
-                    // and coalesced message groups merge the moment shards
-                    // `0..=s` have all reported — the emission order is a
-                    // constant of the plan, so the merge is bit-identical to
-                    // a full collect-then-sort while overlapping the
-                    // still-running shards. Cross-partition groups append to
-                    // the MsgManager in bulk (one hop per group, not per
-                    // message). In-partition dynamic destinations may live
-                    // in shards that have not reported yet, so their applies
-                    // park until the slab is whole (paper Alg. 7).
-                    let mut slab: Vec<P::VertexData> = rest; // empty, keeps capacity
-                    let mut pending_local: Vec<(VertexId, P::Message)> = Vec::new();
+                    // Partition barrier: deferred messages go to the
+                    // MsgManager in bulk, one hop per destination partition,
+                    // in ascending partition order.
                     let msgs = &mut self.msgs;
-                    executor.finish_with(plan.len(), |result| {
-                        slab.extend(result.data);
-                        changed += result.changed;
-                        messages_sent += result.sent;
-                        dynamic_applied += result.dynamic_applied;
-                        for (p, mut group) in result.deferred {
-                            if dynamic && p == part {
-                                // audit:allow(dropped-result) — Vec::append returns ()
-                                pending_local.append(&mut group);
-                            } else {
-                                msgs.enqueue_bulk(p, group)?;
-                            }
-                        }
-                        Ok(())
-                    })?;
+                    let slab = worker.finish(|p, group| msgs.enqueue_bulk(p, group))?;
                     debug_assert_eq!(slab.len(), count);
-                    for (dst, msg) in pending_local {
-                        self.program.apply_message(
-                            dst,
-                            &mut slab[(dst - a) as usize],
-                            &msg,
-                        );
-                        dynamic_applied += 1;
-                    }
+                    changed += worker.changed;
+                    messages_sent += worker.sent;
+                    dynamic_applied += worker.dynamic_applied;
                     iter_stages.compute += t_compute.elapsed();
                     let t_flush = Instant::now();
 
@@ -653,7 +578,6 @@ impl<P: VertexProgram> Engine<P> {
             wall: start.elapsed(),
             stages: stages_total,
             pool: pool_counters,
-            plan: plan_cfg,
             per_iteration,
         })
     }
@@ -979,26 +903,46 @@ mod tests {
         assert_eq!(s_full.messages_sent, s_full.dynamic_applied + s_full.buffered);
     }
 
+    /// Runs `edges` at every thread count and asserts identical state and
+    /// counters. The Worker schedule does not depend on the thread count.
+    fn assert_thread_count_invariant(edges: Vec<Edge>, budget: MemoryBudget) {
+        let mut results = Vec::new();
+        for threads in [1usize, 2, 4, 8] {
+            let (_d, mut engine) = dos_engine(
+                edges.clone(),
+                budget,
+                EngineOptions::with_parallel_workers(threads),
+                4,
+            );
+            let s = engine.run(10).unwrap();
+            results.push((
+                engine.values_by_original_id().unwrap(),
+                s.iterations,
+                s.messages_sent,
+                s.dynamic_applied,
+                s.buffered,
+                s.io,
+            ));
+        }
+        for (i, r) in results.iter().enumerate().skip(1) {
+            assert_eq!(&results[0], r, "thread setting {i} diverged from 1 thread");
+        }
+    }
+
     #[test]
     fn pipelined_matches_single_threaded() {
-        let (_d1, mut st) = dos_engine(
-            test_graph(),
-            MemoryBudget(16),
-            EngineOptions { pipeline_threads: 1, ..EngineOptions::full() },
-            3,
-        );
-        let (_d2, mut mt) = dos_engine(
-            test_graph(),
-            MemoryBudget(16),
-            EngineOptions { pipeline_threads: 4, ..EngineOptions::full() },
-            3,
-        );
-        st.run(10).unwrap();
-        mt.run(10).unwrap();
-        assert_eq!(
-            st.values_by_original_id().unwrap(),
-            mt.values_by_original_id().unwrap()
-        );
+        // One vertex per partition.
+        assert_thread_count_invariant(test_graph(), MemoryBudget(16));
+    }
+
+    #[test]
+    fn parallel_shards_bit_identical_across_thread_counts() {
+        // 96 vertices / 48 per partition → 2 partitions: spilled messages,
+        // partition-local dynamic messages and the partition barrier.
+        let edges: Vec<Edge> = (0..96u32)
+            .flat_map(|i| (0..4u32).map(move |j| Edge::new(i, (i * 7 + j * 13) % 96)))
+            .collect();
+        assert_thread_count_invariant(edges, MemoryBudget(8 * 48));
     }
 
     #[test]
@@ -1152,41 +1096,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shards_bit_identical_across_thread_counts() {
-        // 96 vertices / 48 per partition → 2 partitions of 3 shards each:
-        // exercises split_batch, cross-shard deferral, barrier merge, and
-        // prefetch. The shard plan depends on worker_shards only, so every
-        // thread count must produce byte-identical state and counters.
-        let edges: Vec<Edge> = (0..96u32)
-            .flat_map(|i| (0..4u32).map(move |j| Edge::new(i, (i * 7 + j * 13) % 96)))
-            .collect();
-        let budget = MemoryBudget(8 * 48);
-        let mut results = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let (_d, mut engine) = dos_engine(
-                edges.clone(),
-                budget,
-                EngineOptions {
-                    worker_shards: 8,
-                    pipeline_threads: threads,
-                    ..EngineOptions::full()
-                },
-                4,
-            );
-            let s = engine.run(10).unwrap();
-            results.push((
-                engine.values_by_original_id().unwrap(),
-                s.iterations,
-                s.messages_sent,
-                s.dynamic_applied,
-                s.buffered,
-            ));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
-    }
-
-    #[test]
     fn batch_pool_reuses_buffers_across_iterations() {
         // The engine prewarms the pool to the structural in-flight bound, so
         // every take() is a recycle: `fresh` stays zero for the whole run —
@@ -1200,11 +1109,7 @@ mod tests {
             let (_d, mut engine) = dos_engine(
                 edges.clone(),
                 budget,
-                EngineOptions {
-                    worker_shards: 8,
-                    pipeline_threads: threads,
-                    ..EngineOptions::full()
-                },
+                EngineOptions::with_parallel_workers(threads),
                 4,
             );
             let s = engine.run(10).unwrap();
@@ -1228,8 +1133,7 @@ mod tests {
         let budget = MemoryBudget(16); // one vertex per partition: 4 partitions
         let (_d1, mut on) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
         let s_on = on.run(10).unwrap();
-        assert!(s_on.partitions >= EngineOptions::MIN_PREFETCH_PARTITIONS);
-        assert!(s_on.plan.prefetch, "enough partitions: the plan keeps prefetch");
+        assert!(s_on.partitions >= MIN_PREFETCH_PARTITIONS);
         assert!(
             s_on.prefetch.hits + s_on.prefetch.stalls > 0,
             "multi-partition run with prefetch must request loads: {:?}",
@@ -1251,14 +1155,13 @@ mod tests {
 
     #[test]
     fn prefetch_auto_disables_below_three_partitions() {
-        // Budget 32 → two partitions: the plan refuses the prefetcher even
+        // Budget 32 → two partitions: the engine refuses the prefetcher even
         // though the options request it (it is pure overhead there), and the
         // results are identical to an explicit prefetch=false run.
         let budget = MemoryBudget(32);
         let (_d1, mut auto_off) = dos_engine(test_graph(), budget, EngineOptions::full(), 3);
         let s = auto_off.run(10).unwrap();
         assert_eq!(s.partitions, 2);
-        assert!(!s.plan.prefetch, "two partitions cannot hide a load: plan must refuse");
         assert_eq!(s.prefetch, graphz_io::PrefetchSnapshot::default());
         let (_d2, mut off) = dos_engine(
             test_graph(),

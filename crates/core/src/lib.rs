@@ -19,9 +19,9 @@
 //! * the **Dispatcher** parses them into per-vertex adjacency lists
 //!   (also [`sio`]; the two stages share the pipeline thread),
 //! * the **Worker** applies `update()` in ascending vertex order and
-//!   intercepts outgoing messages ([`worker`], driven by [`engine`]); with
-//!   `pipeline_threads > 1` the partition is sharded across a persistent
-//!   worker pool under a deterministic schedule,
+//!   intercepts outgoing messages ([`worker`], driven inline by [`engine`];
+//!   with `pipeline_threads > 1`, Sio and the Dispatcher run on their own
+//!   thread, and the Worker's schedule — hence every result — is unchanged),
 //! * the **MsgManager** buffers cross-partition messages and replays them in
 //!   order when the destination partition loads ([`msgmanager`]).
 //!

@@ -1,21 +1,15 @@
 //! Hooks for the `graphz-check` model checker (feature `model` only).
 //!
-//! The model checker rebuilds the Sio → Dispatcher → Worker → MsgManager →
+//! The model checker rebuilds the Sio → Worker → Engine ⇄ MsgManager /
 //! Prefetcher pipeline as virtual [`crossbeam::model`] nodes. For its
-//! verdicts to say anything about the real engine, the model must make the
-//! *same scheduling decisions* the engine makes — so this module re-exports
-//! the exact functions and constants the engine uses, instead of letting
-//! the model duplicate them:
-//!
-//! * the deterministic shard plan ([`plan_shards`], [`shard_of`],
-//!   [`split_batch`]) — the heart of the bit-identical guarantee;
-//! * every pipeline queue's default capacity, collected by [`queue_caps`]
-//!   from the same constants the engine's constructors read.
+//! verdicts to say anything about the real engine, the model must size its
+//! queues the way the engine does — so this module collects every pipeline
+//! queue's capacity in [`queue_caps`] from the same constants the engine's
+//! constructors read, instead of letting the model duplicate them.
 //!
 //! Nothing here exists in a normal build; the feature is additive.
 
 pub use crate::sio::DEFAULT_SIO_QUEUE_CAP;
-pub use crate::worker::{plan_shards, shard_of, split_batch, DEFAULT_JOB_QUEUE_CAP, MIN_SHARD_VERTICES};
 pub use crate::msgmanager::DEFAULT_SPILL_QUEUE_CAP;
 
 use graphz_types::EngineOptions;
@@ -26,11 +20,6 @@ use graphz_types::EngineOptions;
 pub struct PipelineQueueCaps {
     /// Sio thread → Worker batch channel.
     pub sio: usize,
-    /// Engine → each pooled worker's job queue.
-    pub worker_jobs: usize,
-    /// Pooled workers → engine results queue (one partition's worth of
-    /// shard results by default).
-    pub worker_results: usize,
     /// Worker → background MsgManager spill queue.
     pub spill: usize,
     /// Engine ↔ prefetcher request/response queues (always 1: double
@@ -38,16 +27,13 @@ pub struct PipelineQueueCaps {
     pub prefetch: usize,
 }
 
-/// Mirror of how `Engine::run`, `WorkerPool::spawn`,
-/// `stream_partition_weighted`, and `BackgroundWriter::spawn` size their
-/// queues for `options` (`queue_cap` overrides everything except the
-/// structurally capacity-1 prefetch pair).
+/// Mirror of how `stream_partition_weighted` and `BackgroundWriter::spawn`
+/// size their queues for `options` (`queue_cap` overrides everything except
+/// the structurally capacity-1 prefetch pair).
 pub fn queue_caps(options: &EngineOptions) -> PipelineQueueCaps {
     let cap = options.queue_cap;
     PipelineQueueCaps {
         sio: cap.unwrap_or(DEFAULT_SIO_QUEUE_CAP).max(1),
-        worker_jobs: cap.unwrap_or(DEFAULT_JOB_QUEUE_CAP).max(1),
-        worker_results: cap.unwrap_or(options.worker_shards.max(1)).max(1),
         spill: cap.unwrap_or(DEFAULT_SPILL_QUEUE_CAP).max(1),
         prefetch: 1,
     }
@@ -61,13 +47,9 @@ mod tests {
     fn queue_caps_follow_override() {
         let d = queue_caps(&EngineOptions::default());
         assert_eq!(d.sio, DEFAULT_SIO_QUEUE_CAP);
-        assert_eq!(d.worker_jobs, DEFAULT_JOB_QUEUE_CAP);
         assert_eq!(d.spill, DEFAULT_SPILL_QUEUE_CAP);
         assert_eq!(d.prefetch, 1);
         let one = queue_caps(&EngineOptions::default().with_queue_cap(1));
-        assert_eq!(
-            one,
-            PipelineQueueCaps { sio: 1, worker_jobs: 1, worker_results: 1, spill: 1, prefetch: 1 }
-        );
+        assert_eq!(one, PipelineQueueCaps { sio: 1, spill: 1, prefetch: 1 });
     }
 }

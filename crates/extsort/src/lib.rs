@@ -500,31 +500,6 @@ where
     }
 }
 
-/// One-call helper: sort the records of `input` into `output` by `key`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ExternalSorter::builder(key).budget(..).stats(..).build()?.sort_file(..)"
-)]
-pub fn sort_file_by<T, K, F>(
-    input: &Path,
-    output: &Path,
-    key: F,
-    budget: MemoryBudget,
-    stats: Arc<IoStats>,
-) -> Result<u64>
-where
-    T: FixedCodec + Send,
-    K: Ord,
-    F: Fn(&T) -> K + Sync,
-{
-    let scratch = ScratchDir::new("extsort")?;
-    ExternalSorter::builder(key).budget(budget).stats(stats).build()?.sort_file(
-        input,
-        output,
-        &scratch,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,8 +596,9 @@ mod tests {
         let stats = IoStats::new();
         let path = dir.file("data.bin");
         write_records(&path, Arc::clone(&stats), &[3u64, 1, 2]).unwrap();
-        #[allow(deprecated)]
-        sort_file_by::<u64, _, _>(&path, &path, |v| *v, MemoryBudget(8), Arc::clone(&stats))
+        let scratch = ScratchDir::new("xs-inplace-scratch").unwrap();
+        ExternalSorter::new(|v: &u64| *v, MemoryBudget(8), Arc::clone(&stats))
+            .sort_file(&path, &path, &scratch)
             .unwrap();
         assert_eq!(read_records::<u64>(&path, stats).unwrap(), vec![1, 2, 3]);
     }

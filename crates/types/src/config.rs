@@ -81,9 +81,10 @@ pub struct EngineOptions {
     /// start of the destination partition's next load, emulating a
     /// static-message system ("GraphZ w/o DOS and DM" in Fig. 7).
     pub dynamic_messages: bool,
-    /// Number of pipeline worker threads for the Sio → Dispatcher → Worker
-    /// stages. `1` runs the deterministic single-threaded scheduler (results
-    /// are identical either way; the guarantee is tested).
+    /// Threads for the engine pipeline. With `>= 2`, Sio reads and decodes
+    /// adjacency blocks on its own thread while the engine thread runs the
+    /// Worker; `1` does both inline. The Worker schedule is the same either
+    /// way, so results are bit-identical for every value (tested).
     pub pipeline_threads: usize,
     /// Keep the vertex array resident across iterations when the whole graph
     /// fits in one partition, skipping the per-iteration spill/reload.
@@ -100,31 +101,12 @@ pub struct EngineOptions {
     /// computes (GridGraph-style double buffering). Pure scheduling: results
     /// are bit-identical with prefetch on or off.
     pub prefetch: bool,
-    /// Maximum number of logical Worker shards per partition. The shard plan
-    /// is a function of the partition's vertex range and this value only —
-    /// never of `pipeline_threads` — which is what makes results bit-identical
-    /// across thread counts: threads merely execute a fixed logical schedule.
-    ///
-    /// `1` (the default) keeps the paper's sequential-equivalent semantics:
-    /// the whole partition is one shard, so every in-partition dynamic
-    /// message applies mid-sweep and traversal cascades span the partition.
-    /// Values `> 1` trade some of that same-iteration cascade reach (cross-
-    /// shard messages defer to the partition barrier) for parallel updates.
-    pub worker_shards: usize,
-    /// Force every bounded pipeline queue (Sio batches, Worker jobs and
-    /// results, background spill jobs, batch-pool recycler) to this
-    /// capacity. `None` keeps each stage's tuned default. Results are
+    /// Force every bounded pipeline queue (Sio batches, background spill
+    /// jobs, batch-pool recycler) to this capacity. `None` keeps each stage's tuned default. Results are
     /// bit-identical for any capacity ≥ 1 — queue depth is pure scheduling —
     /// which the capacity-1 regression suite and the model checker both
     /// enforce.
     pub queue_cap: Option<usize>,
-    /// Let the engine degrade `worker_shards` (and with it the pooled
-    /// executor) to the serial path when the graph is too small for the
-    /// coordination to pay — see [`plan_execution`](Self::plan_execution).
-    /// The decision is a pure function of graph shape and these options, so
-    /// determinism across thread counts is untouched; it does change *which*
-    /// fixed schedule runs, which is why it is opt-in rather than default.
-    pub adaptive: bool,
 }
 
 impl Default for EngineOptions {
@@ -136,89 +118,22 @@ impl Default for EngineOptions {
             in_memory_fast_path: false,
             background_spill: false,
             prefetch: true,
-            worker_shards: 1,
             queue_cap: None,
-            adaptive: false,
         }
     }
 }
 
-/// The execution plan the engine actually runs: [`EngineOptions`] resolved
-/// against the shape of the graph by
-/// [`EngineOptions::plan_execution`]. Every field is a pure function of
-/// `(options, num_edges, num_partitions)` — never of detected cores, load,
-/// or timing — so two runs over the same graph with the same options always
-/// execute the same logical schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutionPlan {
-    /// Effective logical Worker shards per partition. Differs from
-    /// `options.worker_shards` only when `adaptive` degraded a too-small
-    /// graph to the serial single-shard schedule.
-    pub worker_shards: usize,
-    /// Effective pipeline thread count. Pure scheduling: any value yields
-    /// bit-identical results for a fixed `worker_shards`.
-    pub pipeline_threads: usize,
-    /// Whether the partition prefetcher runs. Pure scheduling; disabled when
-    /// the partition count cannot hide a load.
-    pub prefetch: bool,
-}
-
 impl EngineOptions {
-    /// Adaptive-plan threshold: with fewer edges per shard than this, the
-    /// per-shard work is smaller than the hand-off + barrier coordination it
-    /// buys (tuned against `BENCH_grid.json`'s crossover — batches of this
-    /// size stream in microseconds), so the plan degrades to the serial
-    /// schedule.
-    pub const MIN_EDGES_PER_SHARD: u64 = 1024;
-
-    /// Prefetch pays only when a *third* partition exists: with ≤2 the
-    /// "next" partition is the one the barrier is about to need anyway, and
-    /// the measured effect is pure overhead (`BENCH_throughput.json`).
-    pub const MIN_PREFETCH_PARTITIONS: u32 = 3;
-
-    /// Resolve these options against the graph's shape. The inputs are
-    /// deliberately limited to the graph shape (`num_edges`, the partition
-    /// count the memory budget produced) and the options themselves —
-    /// **never** thread availability or timing — so the returned plan, and
-    /// therefore the result bits, are identical on every machine and for
-    /// every `pipeline_threads` value.
-    pub fn plan_execution(&self, num_edges: u64, num_partitions: u32) -> ExecutionPlan {
-        let mut worker_shards = self.worker_shards.max(1);
-        let mut pipeline_threads = self.pipeline_threads.max(1);
-        if self.adaptive
-            && worker_shards > 1
-            && num_edges / (worker_shards as u64) < Self::MIN_EDGES_PER_SHARD
-        {
-            // Too little work per shard for the hand-off to pay: run the
-            // serial schedule (single shard, inline executor).
-            worker_shards = 1;
-            pipeline_threads = 1;
-        }
-        let prefetch = self.prefetch && num_partitions >= Self::MIN_PREFETCH_PARTITIONS;
-        ExecutionPlan { worker_shards, pipeline_threads, prefetch }
-    }
-}
-
-impl EngineOptions {
-    /// Shard count used by [`with_parallel_workers`](Self::with_parallel_workers):
-    /// fixed, so every thread count executes the same logical schedule.
-    pub const PARALLEL_WORKER_SHARDS: usize = 8;
-
     /// The full-featured configuration (the "GraphZ" bars in the paper).
     pub fn full() -> Self {
         Self::default()
     }
 
-    /// Parallel Worker configuration: `threads` pipeline threads executing a
-    /// fixed [`PARALLEL_WORKER_SHARDS`](Self::PARALLEL_WORKER_SHARDS)-shard
-    /// schedule per partition. Results are bit-identical for any `threads`
-    /// value because the schedule never depends on it.
+    /// The full configuration with `threads` pipeline threads (see
+    /// [`pipeline_threads`](Self::pipeline_threads)). Results are
+    /// bit-identical for every `threads` value.
     pub fn with_parallel_workers(threads: usize) -> Self {
-        EngineOptions {
-            pipeline_threads: threads.max(1),
-            worker_shards: Self::PARALLEL_WORKER_SHARDS,
-            ..Self::default()
-        }
+        EngineOptions { pipeline_threads: threads.max(1), ..Self::default() }
     }
 
     /// Fig. 7's "GraphZ w/o DOS" configuration.
@@ -255,7 +170,7 @@ impl EngineOptions {
 /// Builder for [`EngineOptions`].
 ///
 /// Produced by [`EngineOptions::builder`]. Every setter is chainable;
-/// [`build`](Self::build) validates the configuration (thread, shard, and
+/// [`build`](Self::build) validates the configuration (thread and
 /// queue-capacity counts must be ≥ 1) and returns a typed error rather than
 /// clamping, so misconfigurations are visible at the call site.
 #[derive(Debug, Clone)]
@@ -276,16 +191,9 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Pipeline thread count for the Sio → Dispatcher → Worker stages.
+    /// Pipeline thread count (see [`EngineOptions::pipeline_threads`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.pipeline_threads = threads;
-        self
-    }
-
-    /// Logical Worker shards per partition (the fixed schedule knob; see
-    /// [`EngineOptions::worker_shards`]).
-    pub fn worker_shards(mut self, shards: usize) -> Self {
-        self.opts.worker_shards = shards;
         self
     }
 
@@ -313,21 +221,11 @@ impl EngineOptionsBuilder {
         self
     }
 
-    /// Toggle the adaptive execution plan (serial degrade for small graphs;
-    /// see [`EngineOptions::plan_execution`]).
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.opts.adaptive = on;
-        self
-    }
-
     /// Validate and produce the options.
     pub fn build(self) -> crate::error::Result<EngineOptions> {
         use crate::error::GraphError;
         if self.opts.pipeline_threads == 0 {
             return Err(GraphError::InvalidConfig("pipeline_threads must be >= 1".into()));
-        }
-        if self.opts.worker_shards == 0 {
-            return Err(GraphError::InvalidConfig("worker_shards must be >= 1".into()));
         }
         if self.opts.queue_cap == Some(0) {
             return Err(GraphError::InvalidConfig("queue_cap must be >= 1".into()));
@@ -369,11 +267,7 @@ mod tests {
     fn options_builder_matches_presets() {
         let b = EngineOptions::builder().build().unwrap();
         assert_eq!(b, EngineOptions::default());
-        let par = EngineOptions::builder()
-            .threads(4)
-            .worker_shards(EngineOptions::PARALLEL_WORKER_SHARDS)
-            .build()
-            .unwrap();
+        let par = EngineOptions::builder().threads(4).build().unwrap();
         assert_eq!(par, EngineOptions::with_parallel_workers(4));
         let ab = EngineOptions::builder().use_dos(false).dynamic_messages(false).build().unwrap();
         assert_eq!(ab, EngineOptions::without_dos_and_dm());
@@ -384,51 +278,7 @@ mod tests {
     #[test]
     fn options_builder_rejects_zeroes() {
         assert!(EngineOptions::builder().threads(0).build().is_err());
-        assert!(EngineOptions::builder().worker_shards(0).build().is_err());
         assert!(EngineOptions::builder().queue_cap(0).build().is_err());
-    }
-
-    #[test]
-    fn adaptive_plan_is_pure_and_degrades_small_graphs() {
-        let opts = EngineOptions::builder()
-            .threads(8)
-            .worker_shards(8)
-            .adaptive(true)
-            .build()
-            .unwrap();
-        // Plenty of work per shard: the parallel schedule stands.
-        let big = opts.plan_execution(8 * EngineOptions::MIN_EDGES_PER_SHARD, 4);
-        assert_eq!(big.worker_shards, 8);
-        assert_eq!(big.pipeline_threads, 8);
-        // One edge short of the threshold per shard: serial degrade.
-        let small = opts.plan_execution(8 * EngineOptions::MIN_EDGES_PER_SHARD - 1, 4);
-        assert_eq!(small.worker_shards, 1);
-        assert_eq!(small.pipeline_threads, 1);
-        // The shard decision never depends on pipeline_threads: every thread
-        // count resolves to the same worker_shards.
-        for threads in [1, 2, 8, 64] {
-            let o = EngineOptions { pipeline_threads: threads, ..opts };
-            assert_eq!(o.plan_execution(100, 4).worker_shards, 1);
-            assert_eq!(o.plan_execution(1 << 20, 4).worker_shards, 8);
-        }
-        // Without adaptive, the requested schedule always stands.
-        let fixed = EngineOptions { adaptive: false, ..opts };
-        assert_eq!(fixed.plan_execution(1, 4).worker_shards, 8);
-        assert_eq!(fixed.plan_execution(1, 4).pipeline_threads, 8);
-    }
-
-    #[test]
-    fn prefetch_plan_requires_three_partitions() {
-        let opts = EngineOptions::full();
-        assert!(opts.prefetch, "full options request prefetch");
-        // ≤2 partitions cannot hide a load behind compute: auto-disabled.
-        assert!(!opts.plan_execution(1 << 20, 1).prefetch);
-        assert!(!opts.plan_execution(1 << 20, 2).prefetch);
-        assert!(opts.plan_execution(1 << 20, 3).prefetch);
-        assert!(opts.plan_execution(1 << 20, 64).prefetch);
-        // An explicit prefetch=false is never overridden back on.
-        let off = EngineOptions { prefetch: false, ..opts };
-        assert!(!off.plan_execution(1 << 20, 64).prefetch);
     }
 
     #[test]
@@ -456,10 +306,9 @@ mod tests {
         assert!(!EngineOptions::full().in_memory_fast_path);
         assert!(EngineOptions::with_in_memory_fast_path().in_memory_fast_path);
         assert!(EngineOptions::full().prefetch);
-        assert!(EngineOptions::full().worker_shards >= 1);
         let par = EngineOptions::with_parallel_workers(4);
         assert_eq!(par.pipeline_threads, 4);
-        assert_eq!(par.worker_shards, EngineOptions::PARALLEL_WORKER_SHARDS);
+        assert_eq!(par, EngineOptions { pipeline_threads: 4, ..EngineOptions::full() });
         assert_eq!(EngineOptions::with_parallel_workers(0).pipeline_threads, 1);
         assert_eq!(EngineOptions::full().queue_cap, None);
         assert_eq!(EngineOptions::full().with_queue_cap(0).queue_cap, Some(1));

@@ -15,7 +15,7 @@ pub mod config;
 pub mod error;
 
 pub use codec::FixedCodec;
-pub use config::{EngineOptions, EngineOptionsBuilder, ExecutionPlan, MemoryBudget};
+pub use config::{EngineOptions, EngineOptionsBuilder, MemoryBudget};
 pub use error::{GraphError, IoContext, IoCtx, Result};
 
 /// One-line import of the names nearly every GraphZ crate needs.
@@ -30,7 +30,7 @@ pub mod prelude {
     pub use crate::cast;
     pub use crate::cast::*;
     pub use crate::codec::FixedCodec;
-    pub use crate::config::{EngineOptions, EngineOptionsBuilder, ExecutionPlan, MemoryBudget};
+    pub use crate::config::{EngineOptions, EngineOptionsBuilder, MemoryBudget};
     pub use crate::error::{GraphError, IoContext, IoCtx, Result};
     pub use crate::{derive_weight, Degree, Edge, GraphMeta, VertexId, Weight};
 }

@@ -307,13 +307,13 @@ mod tests {
     #[test]
     fn uncommitted_stage_manifest_is_flagged() {
         let src = "fn record(dir: &Path) -> Result<()> {\n\
-                   let mut m = StageManifest::new(\"triads\");\n\
+                   let mut m = StageManifest::new(\"degrees\");\n\
                    m.set(\"assigned\", \"7\");\n Ok(())\n}";
         let v = audit(src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("StageManifest"), "{}", v[0].message);
         let src = "fn record(dir: &Path, s: &FaultSurface) -> Result<()> {\n\
-                   let mut m = StageManifest::new(\"triads\");\n\
+                   let mut m = StageManifest::new(\"degrees\");\n\
                    m.set(\"assigned\", \"7\");\n m.commit(&dir.join(\"m\"), s)?;\n Ok(())\n}";
         assert!(audit(src).is_empty());
     }

@@ -75,14 +75,13 @@ pub const RULES: &[Rule] = &[
             "crates/core/src/prefetch.rs",
             "crates/core/src/sio.rs",
             "crates/core/src/msgmanager.rs",
-            // Ingest-side concurrency (PR 5): scoped producer shards, the
-            // double-buffered run reader, and chunked text parse workers all
-            // follow the deterministic-schedule rule (DESIGN.md §6g).
+            // Ingest-side concurrency (PR 5): scoped producer shards and
+            // chunked text parse workers both follow the
+            // deterministic-schedule rule (DESIGN.md §6g).
             "crates/extsort/src/shard.rs",
             // Key-partitioned parallel merge (PR 7): scoped range workers
             // whose output is byte-identical for any worker count.
             "crates/extsort/src/pmerge.rs",
-            "crates/io/src/readahead.rs",
             "crates/storage/src/chunked.rs",
             // Serve fleet (PR 10): one accept thread + N reader threads,
             // joined in Server::shutdown/wait; queries themselves never spawn
@@ -675,6 +674,7 @@ mod tests {
         assert_eq!(lint_str("crates/core/src/worker.rs", src).len(), 1, "the Worker runs inline");
         assert_eq!(lint_str("crates/core/src/prefetch.rs", src).len(), 0);
         assert_eq!(lint_str("crates/core/src/sio.rs", src).len(), 0);
+        assert_eq!(lint_str("crates/io/src/record.rs", src).len(), 1, "run readers spawn nothing");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! External k-way merge sort over fixed-size records.
 //!
 //! The DOS conversion pipeline (paper §III-C) is built entirely from external
-//! sorts: "we use external k-way merge sort to sort it using deg as 1st key
-//! and src as 2nd key", then again by `dest`, then by `src`. The GraphChi
-//! baseline's shard construction and X-Stream's partition bucketing reuse the
-//! same substrate.
+//! sorts: edges by `(src, dst)`, vertices by `(deg desc, src)`, the id maps
+//! by old and by new id, then edges by `dest` and finally by new `src`. The
+//! GraphChi baseline's shard construction and X-Stream's partition
+//! bucketing reuse the same substrate.
 //!
 //! The implementation is the classic two-phase algorithm:
 //!
@@ -12,14 +12,12 @@
 //!    them in memory, and spill each sorted run to a scratch file. With
 //!    [`ExternalSorterBuilder::threads`] > 1, run formation is sharded: the
 //!    input is cut into fixed-capacity chunks (a pure function of the split
-//!    budget, never of thread timing) and dealt round-robin to N producer
+//!    budget, never of thread timing) and handed round-robin to N producer
 //!    threads (see [`shard`](crate::shard) internals, DESIGN.md §6g).
 //! 2. **K-way merge** — stream every run through a loser tree, emitting
 //!    records in globally sorted order. If the number of runs exceeds the
-//!    configured fan-in, runs are merged in multiple passes. Multi-threaded
-//!    sorters read runs through double-buffered
-//!    [`ReadAheadReader`](graphz_io::ReadAheadReader)s so merge compares
-//!    overlap run-file IO.
+//!    configured fan-in, runs are merged in multiple passes. Runs are read
+//!    through the plain buffered reader at every thread count.
 //!
 //! The merge can be consumed lazily via [`ExternalSorter::sort_stream`],
 //! which is how the DOS converter chains one sort's output into the next
@@ -41,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use graphz_io::{FaultSurface, IoStats, ReadAheadReader, RecordReader, RecordWriter, ScratchDir};
-use graphz_types::{cast, FixedCodec, GraphError, MemoryBudget, Result};
+use graphz_io::{FaultSurface, IoStats, RecordReader, RecordWriter, ScratchDir};
+use graphz_types::{cast, FixedCodec, GraphError, IoCtx, MemoryBudget, Result};
 
 pub use pmerge::PARALLEL_MERGE_MIN_RECORDS;
 pub use stream::SortedStream;
@@ -52,9 +50,13 @@ use stream::RunSource;
 /// fd limit while making multi-pass merges rare for our graph sizes.
 pub const DEFAULT_FAN_IN: usize = 64;
 
+/// Smallest read buffer a merge gives one run (see
+/// [`ExternalSorter::run_block`]).
+const MIN_RUN_BLOCK: usize = 4 * 1024;
+
 /// Wall-time attribution for external sorts, shared across any number of
-/// sorters via `Arc` (the ingest pipeline hands one sink to all five DOS
-/// stage sorters). Two buckets of *eager* sorter work:
+/// sorters via `Arc` (the ingest pipeline hands one sink to all six DOS
+/// conversion sorters). Two buckets of *eager* sorter work:
 ///
 /// * `form` — run formation: reading input, in-memory sorts, spilling runs;
 /// * `merge` — eager merge work: pre-merge passes and the file-output final
@@ -166,10 +168,11 @@ where
     }
 
     /// Producer threads for run formation (≥ 1; default 1). Values > 1 also
-    /// enable double-buffered run readers in the merge phase. Output is
-    /// byte-identical across thread counts whenever equal keys imply equal
-    /// record bytes — true of every key in the ingest pipeline (DESIGN.md
-    /// §6g).
+    /// let eager file-output merges take the key-partitioned parallel path
+    /// ([`pmerge`]); the lazy [`sort_stream`](ExternalSorter::sort_stream)
+    /// merge is serial at every value. Output is byte-identical across
+    /// thread counts whenever equal keys imply equal record bytes — true of
+    /// every key in the ingest pipeline (DESIGN.md §6g).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -266,18 +269,29 @@ where
     }
 
     /// Records per in-memory run chunk. Serial sorters use the whole budget;
-    /// sharded run formation splits it across the producers plus the chunks
-    /// in flight between dispatcher and producers (`2·threads + 1`, the
-    /// worst-case number of live chunks).
+    /// sharded run formation splits it across the live chunks: one being
+    /// sorted by each producer plus the one the dispatcher is filling
+    /// (`threads + 1` — chunks change hands over rendezvous channels, so
+    /// none waits in a queue).
     fn chunk_records(&self) -> usize {
         // Clamping (not erroring) is right here: a budget larger than the
         // address space just means "one giant run"; run buffers still grow
         // incrementally from a small initial capacity.
         if self.threads > 1 {
-            cast::clamp_usize(self.budget.split(2 * self.threads + 1).records(T::SIZE))
+            cast::clamp_usize(self.budget.split(self.threads + 1).records(T::SIZE))
         } else {
             cast::clamp_usize(self.budget.records(T::SIZE))
         }
+    }
+
+    /// Read-buffer bytes per run when `readers` run readers are open at
+    /// once: the sort budget shared among them, between [`MIN_RUN_BLOCK`]
+    /// and the default IO block. A merge then holds about its budget, as
+    /// run formation does, however many runs it reads; at the default
+    /// ingest budget every reader keeps the full default block.
+    fn run_block(&self, readers: usize) -> usize {
+        let share = self.budget.bytes() / cast::len_u64(readers.max(1));
+        cast::clamp_usize(share).clamp(MIN_RUN_BLOCK, graphz_io::tracked::DEFAULT_BLOCK)
     }
 
     /// Sort the records in `input` into `output` (both files of `T` records).
@@ -334,6 +348,7 @@ where
                 &self.surface,
                 self.threads,
                 &plan.files,
+                self.run_block(plan.files.len() * self.threads),
                 output,
             )?;
         if !parallel {
@@ -424,7 +439,8 @@ where
             files = next;
             pass += 1;
         }
-        if let Some(t) = &self.timings {
+        // A run set that fits one merge does no eager merge work here.
+        if let Some(t) = self.timings.as_ref().filter(|_| pass > 0) {
             t.add_merge(started.elapsed());
         }
         Ok(shard::RunPlan { files, tail, total })
@@ -434,8 +450,9 @@ where
     fn open_merge_stream(&self, plan: shard::RunPlan<T>) -> Result<SortedStream<'_, T, K, F>> {
         let shard::RunPlan { files, tail, total } = plan;
         let mut sources = Vec::with_capacity(files.len() + usize::from(!tail.is_empty()));
+        let block = self.run_block(files.len());
         for f in &files {
-            sources.push(RunSource::File(self.open_run(f)?));
+            sources.push(RunSource::File(self.open_run(f, block)?));
         }
         if !tail.is_empty() {
             sources.push(RunSource::Memory(tail.into_iter()));
@@ -443,19 +460,14 @@ where
         SortedStream::new(sources, &self.key, total)
     }
 
-    /// Open a run file for merging; multi-threaded sorters wrap it in a
-    /// double-buffered read-ahead so merge compares overlap run IO. The
-    /// open is a gated op, so the read side of the merge is under fault
-    /// coverage too.
-    fn open_run(&self, path: &Path) -> Result<RecordReader<T, Box<dyn Read + Send>>> {
+    /// Open a run file for merging through the plain buffered reader with
+    /// a `block`-byte buffer. The open is a gated op, so the read side of
+    /// the merge is under fault coverage too.
+    fn open_run(&self, path: &Path, block: usize) -> Result<RecordReader<T, Box<dyn Read + Send>>> {
         self.surface.op("open-run")?;
-        let inner = graphz_io::tracked::reader(path, Arc::clone(&self.stats))?;
-        if self.threads > 1 {
-            let ahead = ReadAheadReader::spawn(inner)?;
-            Ok(RecordReader::from_reader(Box::new(ahead)))
-        } else {
-            Ok(RecordReader::from_reader(Box::new(inner)))
-        }
+        let inner = graphz_io::tracked::reader_with_block(path, Arc::clone(&self.stats), block)
+            .ctx("open", path)?;
+        Ok(RecordReader::from_reader(Box::new(inner)))
     }
 
     /// Merge already-sorted run files into `output`. Multi-threaded sorters
@@ -475,14 +487,16 @@ where
                 &self.surface,
                 self.threads,
                 runs,
+                self.run_block(runs.len() * self.threads),
                 output,
             )?
         {
             return Ok(());
         }
         let mut sources = Vec::with_capacity(runs.len());
+        let block = self.run_block(runs.len());
         for r in runs {
-            sources.push(RunSource::File(self.open_run(r)?));
+            sources.push(RunSource::File(self.open_run(r, block)?));
         }
         let mut merged = SortedStream::new(sources, &self.key, 0)?;
         self.write_all(&mut merged, output)
@@ -660,6 +674,31 @@ mod tests {
             let par = sort_roundtrip_threads(values.clone(), MemoryBudget(4096), 8, threads);
             assert_eq!(par, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn two_thread_sort_of_budget_multiple_needs_no_pre_merge() {
+        // Sixteen budgets of input at two threads: chunks sized at
+        // `budget / (threads + 1)` give 49 runs, within the default fan-in,
+        // so the merge is a single pass (at `budget / (2·threads + 1)` the
+        // same input formed 81 runs and needed a pre-merge).
+        let budget = MemoryBudget(4096);
+        let n = 16 * budget.records(8);
+        let sorter = ExternalSorter::builder(|v: &u64| *v)
+            .budget(budget)
+            .stats(IoStats::new())
+            .threads(2)
+            .build()
+            .unwrap();
+        let scratch = ScratchDir::new("xs-no-premerge").unwrap();
+        let plan = sorter.collapse_runs((0..n).rev().map(Ok), &scratch).unwrap();
+        assert_eq!(plan.total, n);
+        assert!(plan.files.len() > 1 && plan.files.len() <= DEFAULT_FAN_IN, "{}", plan.files.len());
+        let names: Vec<String> = std::fs::read_dir(scratch.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(names.iter().all(|f| f.starts_with("run-")), "pre-merge output in {names:?}");
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::stream::{RunSource, SortedStream};
 /// per-worker file handles cost more than single-threaded compares save.
 pub const PARALLEL_MERGE_MIN_RECORDS: u64 = 1 << 14;
 
-/// Read/write buffer for each worker's run segments and output region.
+/// Write buffer for each worker's output region.
 const SEGMENT_BUF_BYTES: usize = 64 * 1024;
 
 /// Decode the record at index `idx` of an open run file.
@@ -72,7 +72,8 @@ where
 }
 
 /// Merge already-sorted `runs` into `output` with `workers` threads over
-/// disjoint key ranges. Returns `Ok(false)` — having written nothing — when
+/// disjoint key ranges, each worker reading every run segment through a
+/// `block`-byte buffer. Returns `Ok(false)` — having written nothing — when
 /// the merge is too small to be worth parallelising; the caller then takes
 /// the serial path.
 pub(crate) fn merge_runs_parallel<T, K, F>(
@@ -81,6 +82,7 @@ pub(crate) fn merge_runs_parallel<T, K, F>(
     surface: &FaultSurface,
     workers: usize,
     runs: &[PathBuf],
+    block: usize,
     output: &Path,
 ) -> Result<bool>
 where
@@ -185,7 +187,9 @@ where
             let handle = std::thread::Builder::new()
                 .name(format!("graphz-merge-{r}"))
                 .spawn_scoped(scope, move || {
-                    merge_range::<T, K, F>(key, stats, surface, runs, lo, hi, n, start, output)
+                    merge_range::<T, K, F>(
+                        key, stats, surface, runs, block, lo, hi, n, start, output,
+                    )
                 })?;
             handles.push(handle);
         }
@@ -210,6 +214,7 @@ fn merge_range<T, K, F>(
     stats: Arc<IoStats>,
     surface: &FaultSurface,
     runs: &[PathBuf],
+    block: usize,
     lo: &[u64],
     hi: &[u64],
     records: u64,
@@ -232,7 +237,7 @@ where
         }
         let mut file = TrackedFile::open(path, Arc::clone(&stats)).ctx("open", path)?;
         file.seek(SeekFrom::Start(cast::mul_u64(lo[i], size, "segment start")?))?;
-        let limited = BufReader::with_capacity(SEGMENT_BUF_BYTES, file)
+        let limited = BufReader::with_capacity(block, file)
             .take(cast::mul_u64(seg, size, "segment bytes")?);
         let boxed: Box<dyn Read + Send> = Box::new(limited);
         sources.push(RunSource::File(RecordReader::from_reader(boxed)));

@@ -14,8 +14,8 @@
 //! — see DESIGN.md §6g for the full argument.
 //!
 //! Producer threads are plain scoped workers (no locks — chunks arrive over
-//! bounded channels, results over an unbounded one), so the lock-order audit
-//! has nothing to track here by construction.
+//! rendezvous channels, results over an unbounded one), so the lock-order
+//! audit has nothing to track here by construction.
 
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -92,10 +92,11 @@ where
 /// chunk `i` to producer `i % threads`; each producer sorts and spills its
 /// chunks independently. Returns run files ordered by chunk index.
 ///
-/// Backpressure: each producer's inbox holds one chunk (plus the one it is
-/// sorting), and the dispatcher fills one more, so at most `2·threads + 1`
-/// chunks are in flight — the caller sizes `chunk_records` from a split
-/// budget accordingly.
+/// Backpressure: each producer's inbox is a rendezvous channel, so a chunk
+/// changes hands only when its producer is ready for it. Each producer holds
+/// at most the chunk it is sorting and the dispatcher fills one more, so at
+/// most `threads + 1` chunks are live — the caller sizes `chunk_records`
+/// from a split budget accordingly.
 pub(crate) fn form_runs_parallel<T, K, F>(
     key: &F,
     stats: &Arc<IoStats>,
@@ -115,7 +116,7 @@ where
         let (done_tx, done_rx) = mpsc::channel::<(usize, Result<PathBuf>)>();
         let mut inboxes = Vec::with_capacity(threads);
         for producer in 0..threads {
-            let (tx, rx) = mpsc::sync_channel::<(usize, Vec<T>)>(1);
+            let (tx, rx) = mpsc::sync_channel::<(usize, Vec<T>)>(0);
             inboxes.push(tx);
             let done_tx = done_tx.clone();
             std::thread::Builder::new()

@@ -160,7 +160,7 @@ pub struct FaultState {
     plan: FaultPlan,
     /// When set, the fault triggers on the first gated op whose label equals
     /// this string instead of on an op index — letting tests target a named
-    /// point ("commit-manifest:triads") without counting ops.
+    /// point ("commit-manifest:degrees") without counting ops.
     at_label: Option<String>,
     op: AtomicU64,
     transient_left: AtomicU32,
@@ -722,17 +722,17 @@ mod tests {
 
     #[test]
     fn labeled_fault_fires_at_the_named_op() {
-        let faults = FaultState::fail_at_label("commit-manifest:triads");
+        let faults = FaultState::fail_at_label("commit-manifest:degrees");
         let mut sink = Vec::new();
         // Unrelated ops and writes pass untouched.
         assert!(faults.op_gate("fsync").is_ok());
         assert!(faults.write_gate(&mut sink, b"x").is_ok());
         assert!(faults.op_gate("commit-manifest:import").is_ok());
-        let err = faults.op_gate("commit-manifest:triads").unwrap_err();
-        assert!(err.to_string().contains("commit-manifest:triads"), "{err}");
+        let err = faults.op_gate("commit-manifest:degrees").unwrap_err();
+        assert!(err.to_string().contains("commit-manifest:degrees"), "{err}");
         assert!(faults.fired());
         // Fires once, like an op-indexed hard fault.
-        assert!(faults.op_gate("commit-manifest:triads").is_ok());
+        assert!(faults.op_gate("commit-manifest:degrees").is_ok());
     }
 
     #[test]

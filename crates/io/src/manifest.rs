@@ -185,7 +185,7 @@ mod tests {
         let path = dir.file("stage.manifest");
         assert!(StageManifest::load(&path).unwrap().is_none(), "missing = incomplete");
 
-        let mut m = StageManifest::new("triads");
+        let mut m = StageManifest::new("degrees");
         m.set("assigned", 7u64);
         m.commit(&path, &FaultSurface::none()).unwrap();
         assert!(StageManifest::load(&path).unwrap().is_some());

@@ -4,10 +4,16 @@
 //! of thread count or timing (the workspace's deterministic-schedule rule,
 //! DESIGN.md §6d/§6g): the file is cut into fixed-size byte spans, each span
 //! owns exactly the lines that *begin* inside it, and chunk `i` is parsed by
-//! worker `i % threads`. Reassembling parsed chunks in index order therefore
-//! reproduces the serial line order exactly, so the resulting binary edge
-//! list is byte-identical to [`EdgeListFile::import_text`] for every thread
-//! count and chunk size.
+//! worker `i % threads`. Parsed chunks are written to the edge list in index
+//! order as they arrive, which reproduces the serial line order exactly, so
+//! the resulting binary edge list is byte-identical to
+//! [`EdgeListFile::import_text`] for every thread count and chunk size.
+//!
+//! The import streams: at most `2·threads + 1` parsed chunks are alive at
+//! once (one queued and one being parsed per worker, and the one being
+//! written), so its memory is bounded by the chunk size, not the input
+//! size. [`chunk_bytes_for`] sizes the chunks so that window fits a sort
+//! budget.
 //!
 //! A line "begins at" byte `p` when `p == 0` or the previous byte is `\n`.
 //! A worker assigned span `[start, end)` seeks to `start - 1` (when
@@ -24,12 +30,24 @@ use std::sync::{mpsc, Arc};
 use graphz_io::IoStats;
 use graphz_types::prelude::*;
 
-use crate::edgelist::EdgeListFile;
+use crate::edgelist::{EdgeListFile, EdgeListWriter};
 
-/// Default span size for parallel text parsing (4 MiB — large enough that
+/// Default span size for parallel text parsing when no memory budget
+/// applies, and the cap on [`chunk_bytes_for`] (4 MiB — large enough that
 /// per-chunk overhead vanishes, small enough that a handful of chunks exist
 /// even for modest inputs).
 pub const DEFAULT_CHUNK_BYTES: u64 = 4 << 20;
+
+/// Span size for an import that must fit `budget` at `threads` parse
+/// workers: the in-flight window of `2·threads + 1` parsed chunks (see the
+/// module docs) stays within the budget. A line holding an edge takes at
+/// least 4 bytes (`"0 1\n"`) and parses to an 8-byte edge, so a span's
+/// parsed edges take at most twice its bytes. Capped at
+/// [`DEFAULT_CHUNK_BYTES`].
+pub fn chunk_bytes_for(budget: MemoryBudget, threads: usize) -> u64 {
+    let window = 2 * cast::len_u64(threads.max(1)) + 1;
+    (budget.bytes() / (2 * window)).clamp(1, DEFAULT_CHUNK_BYTES)
+}
 
 /// One byte span of the chunk plan: the lines beginning in `start..end`
 /// belong to this chunk.
@@ -198,6 +216,57 @@ fn parse_span_lenient(text_path: &Path, span: ChunkSpan) -> Result<LenientSpan> 
     Ok(out)
 }
 
+/// Parse every span of `plan` on `threads` workers and hand the results to
+/// `sink` in plan order, stopping at the first error in that order.
+///
+/// Worker `w` parses spans `i % threads == w` and queues each result in its
+/// own one-slot channel; the calling thread drains the channels round-robin,
+/// which is plan order. A worker blocks once it holds one queued and one
+/// finished result, so at most `2·threads + 1` parsed chunks are alive.
+fn parse_in_order<R: Send>(
+    plan: &[ChunkSpan],
+    threads: usize,
+    parse: impl Fn(ChunkSpan) -> Result<R> + Sync,
+    mut sink: impl FnMut(R) -> Result<()>,
+) -> Result<()> {
+    if threads <= 1 || plan.len() <= 1 {
+        for span in plan {
+            sink(parse(*span)?)?;
+        }
+        return Ok(());
+    }
+    let workers = threads.min(plan.len());
+    std::thread::scope(|scope| -> Result<()> {
+        let mut outboxes = Vec::with_capacity(workers);
+        for worker in 0..workers {
+            let (tx, rx) = mpsc::sync_channel::<Result<R>>(1);
+            outboxes.push(rx);
+            let parse = &parse;
+            std::thread::Builder::new()
+                .name(format!("graphz-parse-{worker}"))
+                .spawn_scoped(scope, move || {
+                    for span in plan.iter().skip(worker).step_by(workers) {
+                        let parsed = parse(*span);
+                        let failed = parsed.is_err();
+                        // A closed outbox means the collector stopped early.
+                        if tx.send(parsed).is_err() || failed {
+                            return;
+                        }
+                    }
+                })?;
+        }
+        // Returning drops the outboxes, which unblocks any worker still
+        // waiting to hand over a chunk.
+        for (idx, outbox) in (0..plan.len()).zip(outboxes.iter().cycle()) {
+            let parsed = outbox.recv().map_err(|_| {
+                GraphError::Corrupt(format!("parse worker lost chunk {idx}"))
+            })?;
+            sink(parsed?)?;
+        }
+        Ok(())
+    })
+}
+
 /// Import a SNAP-style text file, quarantining up to `max_bad_records`
 /// malformed lines instead of aborting on the first one.
 ///
@@ -217,82 +286,25 @@ pub fn import_text_quarantined(
 ) -> Result<(EdgeListFile, Vec<BadRecord>)> {
     let total_bytes = std::fs::metadata(text_path).ctx("stat", text_path)?.len();
     let plan = plan_chunks(total_bytes, chunk_bytes);
-
-    let spans: Vec<LenientSpan> = if threads <= 1 || plan.len() <= 1 {
-        let mut out = Vec::with_capacity(plan.len());
-        for span in &plan {
-            out.push(parse_span_lenient(text_path, *span)?);
-        }
-        out
-    } else {
-        std::thread::scope(|scope| -> Result<Vec<LenientSpan>> {
-            let (done_tx, done_rx) = mpsc::channel::<(usize, Result<LenientSpan>)>();
-            for worker in 0..threads.min(plan.len()) {
-                let done_tx = done_tx.clone();
-                let plan = &plan;
-                std::thread::Builder::new()
-                    .name(format!("graphz-parse-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        for (idx, span) in plan.iter().enumerate() {
-                            if idx % threads != worker {
-                                continue;
-                            }
-                            let parsed = parse_span_lenient(text_path, *span);
-                            if done_tx.send((idx, parsed)).is_err() {
-                                return;
-                            }
-                        }
-                    })?;
-            }
-            drop(done_tx);
-
-            let mut slots: Vec<Option<LenientSpan>> = (0..plan.len()).map(|_| None).collect();
-            let mut first_err: Option<(usize, GraphError)> = None;
-            for (idx, outcome) in done_rx.iter() {
-                match outcome {
-                    Ok(parsed) => {
-                        if let Some(slot) = slots.get_mut(idx) {
-                            *slot = Some(parsed);
-                        }
-                    }
-                    Err(e) => {
-                        if first_err.as_ref().is_none_or(|(at, _)| idx < *at) {
-                            first_err = Some((idx, e));
-                        }
-                    }
-                }
-            }
-            if let Some((_, e)) = first_err {
-                return Err(e);
-            }
-            let mut ordered = Vec::with_capacity(slots.len());
-            for (idx, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(parsed) => ordered.push(parsed),
-                    None => {
-                        return Err(GraphError::Corrupt(format!(
-                            "parse worker lost chunk {idx}"
-                        )))
-                    }
-                }
-            }
-            Ok(ordered)
-        })?
-    };
-
+    let mut out = EdgeListWriter::create(bin_path, stats)?;
     // Chunk-local line indices become global 1-based numbers via a running
     // prefix sum of each span's owned-line count.
     let mut bad: Vec<BadRecord> = Vec::new();
     let mut lines_before: u64 = 0;
-    let mut edges: Vec<Edge> = Vec::new();
-    for span in spans {
-        for mut b in span.bad {
-            b.line = cast::add_u64(lines_before, b.line, "quarantine line number")? + 1;
-            bad.push(b);
-        }
-        lines_before = cast::add_u64(lines_before, span.owned_lines, "quarantine line count")?;
-        edges.extend(span.edges);
-    }
+    parse_in_order(
+        &plan,
+        threads,
+        |span| parse_span_lenient(text_path, span),
+        |span| {
+            for mut b in span.bad {
+                b.line = cast::add_u64(lines_before, b.line, "quarantine line number")? + 1;
+                bad.push(b);
+            }
+            lines_before =
+                cast::add_u64(lines_before, span.owned_lines, "quarantine line count")?;
+            out.push_all(span.edges)
+        },
+    )?;
     if cast::len_u64(bad.len()) > max_bad_records {
         let first = bad.first().map_or(0, |b| b.line);
         return Err(GraphError::Corrupt(format!(
@@ -302,12 +314,11 @@ pub fn import_text_quarantined(
             bad.len(),
         )));
     }
-    let file = EdgeListFile::create(bin_path, stats, edges)?;
-    Ok((file, bad))
+    Ok((out.finish()?, bad))
 }
 
 /// Import a SNAP-style text file by parsing `chunk_bytes`-sized spans on
-/// `threads` workers and reassembling the parsed chunks in plan order.
+/// `threads` workers and writing the parsed chunks in plan order.
 ///
 /// Byte-identical to [`EdgeListFile::import_text`] for every `threads` and
 /// `chunk_bytes`; `threads <= 1` delegates to the serial path outright.
@@ -326,64 +337,14 @@ pub fn import_text_chunked(
     if plan.len() <= 1 {
         return EdgeListFile::import_text(text_path, bin_path, stats);
     }
-
-    let chunks = std::thread::scope(|scope| -> Result<Vec<Vec<Edge>>> {
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Result<Vec<Edge>>)>();
-        for worker in 0..threads.min(plan.len()) {
-            let done_tx = done_tx.clone();
-            let plan = &plan;
-            std::thread::Builder::new()
-                .name(format!("graphz-parse-{worker}"))
-                .spawn_scoped(scope, move || {
-                    for (idx, span) in plan.iter().enumerate() {
-                        if idx % threads != worker {
-                            continue;
-                        }
-                        let parsed = parse_span(text_path, *span);
-                        if done_tx.send((idx, parsed)).is_err() {
-                            return;
-                        }
-                    }
-                })?;
-        }
-        drop(done_tx);
-
-        let mut slots: Vec<Option<Vec<Edge>>> = (0..plan.len()).map(|_| None).collect();
-        let mut first_err: Option<(usize, GraphError)> = None;
-        for (idx, outcome) in done_rx.iter() {
-            match outcome {
-                Ok(edges) => {
-                    if let Some(slot) = slots.get_mut(idx) {
-                        *slot = Some(edges);
-                    }
-                }
-                Err(e) => {
-                    // Report the error of the earliest chunk, matching what
-                    // the serial parser would have hit first.
-                    if first_err.as_ref().is_none_or(|(at, _)| idx < *at) {
-                        first_err = Some((idx, e));
-                    }
-                }
-            }
-        }
-        if let Some((_, e)) = first_err {
-            return Err(e);
-        }
-        let mut ordered = Vec::with_capacity(slots.len());
-        for (idx, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(edges) => ordered.push(edges),
-                None => {
-                    return Err(GraphError::Corrupt(format!(
-                        "parse worker lost chunk {idx}"
-                    )))
-                }
-            }
-        }
-        Ok(ordered)
-    })?;
-
-    EdgeListFile::create(bin_path, stats, chunks.into_iter().flatten())
+    let mut out = EdgeListWriter::create(bin_path, stats)?;
+    parse_in_order(
+        &plan,
+        threads,
+        |span| parse_span(text_path, span),
+        |edges| out.push_all(edges),
+    )?;
+    out.finish()
 }
 
 #[cfg(test)]
@@ -407,6 +368,18 @@ mod tests {
         }
         // Degenerate chunk size still terminates.
         assert_eq!(plan_chunks(3, 0).len(), 3);
+    }
+
+    #[test]
+    fn default_chunk_window_fits_the_budget() {
+        let budget = MemoryBudget::from_mib(8);
+        for threads in [1u64, 2, 8] {
+            let chunk = chunk_bytes_for(budget, cast::clamp_usize(threads));
+            // At most 2 parsed bytes per text byte, 2·threads + 1 chunks.
+            assert!(2 * chunk * (2 * threads + 1) <= budget.bytes(), "threads={threads}");
+        }
+        assert_eq!(chunk_bytes_for(MemoryBudget::from_mib(1024), 1), DEFAULT_CHUNK_BYTES);
+        assert_eq!(chunk_bytes_for(MemoryBudget(1), 4), 1);
     }
 
     /// Deterministic pseudo-random text graph with comments, blank lines,

@@ -5,7 +5,7 @@
 //! loaders for the whitespace-separated text format used by the SNAP
 //! repository graphs the paper evaluates (LiveJournal, as-skitter, ...).
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -43,38 +43,19 @@ impl EdgeListFile {
     /// `num_vertices` is `max id + 1` (the id space may be sparse — paper
     /// §III-B notes real graphs routinely have a max ID far above the vertex
     /// count; id `u` exists even if it has no edges below `num_vertices`).
+    /// Out-degrees are counted in a dense `Vec<u64>` indexed by source id,
+    /// so the count costs 8 B per id up to the largest source id — the same
+    /// order as the two id maps `verify_dos` loads — instead of a hash
+    /// table several times that size.
     pub fn create<I>(path: &Path, stats: Arc<IoStats>, edges: I) -> Result<Self>
     where
         I: IntoIterator<Item = Edge>,
     {
-        // Input-fixture constructor (tests/benches/baselines build edge
-        // lists with it); the ingest fault boundary starts at import.
-        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
-        let mut w = RecordWriter::<Edge>::create(path, Arc::clone(&stats)).ctx("create", path)?;
-        let mut max_id: Option<VertexId> = None;
-        let mut degrees: HashMap<VertexId, u64> = HashMap::new();
+        let mut w = EdgeListWriter::create(path, stats)?;
         for e in edges {
-            w.push(&e)?;
-            max_id = Some(max_id.map_or(e.src.max(e.dst), |m| m.max(e.src).max(e.dst)));
-            *degrees.entry(e.src).or_default() += 1;
+            w.push(e)?;
         }
-        let num_edges = w.finish()?;
-        let num_vertices = max_id.map_or(0, |m| cast::widen_u32(m) + 1);
-        let zero_degree = num_vertices - cast::len_u64(degrees.len());
-        let mut unique: std::collections::HashSet<u64> = degrees.values().copied().collect();
-        if zero_degree > 0 {
-            unique.insert(0);
-        }
-        let meta = GraphMeta {
-            num_vertices,
-            num_edges,
-            unique_degrees: cast::len_u64(unique.len()),
-            max_degree: degrees.values().copied().max().unwrap_or(0),
-        };
-        let mut mf = MetaFile::new();
-        mf.set("format", "edgelist").set_graph_meta(&meta);
-        mf.save(&Self::meta_path(path))?;
-        Ok(EdgeListFile { path: path.to_path_buf(), meta })
+        w.finish()
     }
 
     /// Open an existing edge-list file.
@@ -105,7 +86,7 @@ impl EdgeListFile {
     pub fn import_text(text_path: &Path, bin_path: &Path, stats: Arc<IoStats>) -> Result<Self> {
         let file = std::fs::File::open(text_path).ctx("open", text_path)?;
         let reader = BufReader::new(file);
-        let mut edges = Vec::new();
+        let mut edges = EdgeListWriter::create(bin_path, stats)?;
         for (lineno, line) in reader.lines().enumerate() {
             let line = line?;
             let line = line.trim();
@@ -132,9 +113,9 @@ impl EdgeListFile {
             };
             let src = parse(it.next())?;
             let dst = parse(it.next())?;
-            edges.push(Edge::new(src, dst));
+            edges.push(Edge::new(src, dst))?;
         }
-        Self::create(bin_path, stats, edges)
+        edges.finish()
     }
 
     /// Import a Matrix Market coordinate file (`%%MatrixMarket matrix
@@ -159,7 +140,7 @@ impl EdgeListFile {
             )));
         }
         let symmetric = header.to_lowercase().contains("symmetric");
-        let mut edges = Vec::new();
+        let mut edges = EdgeListWriter::create(bin_path, stats)?;
         let mut saw_dims = false;
         for (lineno, line) in lines.enumerate() {
             let line = line?;
@@ -210,12 +191,12 @@ impl EdgeListFile {
                 })
             };
             let (src, dst) = (to_id(row)?, to_id(col)?);
-            edges.push(Edge::new(src, dst));
+            edges.push(Edge::new(src, dst))?;
             if symmetric && src != dst {
-                edges.push(Edge::new(dst, src));
+                edges.push(Edge::new(dst, src))?;
             }
         }
-        Self::create(bin_path, stats, edges)
+        edges.finish()
     }
 
     /// Export to SNAP-style text.
@@ -275,6 +256,79 @@ impl EdgeListFile {
                 keep
             });
         Self::create(out_path, stats, deduped)
+    }
+}
+
+/// Streaming edge-list construction: every constructor and importer
+/// appends edges here as it produces them, so no edge-sized buffer is ever
+/// held, and the metadata is gathered in the same pass.
+///
+/// A stale metadata sidecar at the target is removed up front: an import
+/// that fails half-way leaves a record file that [`EdgeListFile::open`]
+/// rejects, never one that reads as a complete edge list.
+pub(crate) struct EdgeListWriter {
+    path: PathBuf,
+    w: RecordWriter<Edge>,
+    max_id: Option<VertexId>,
+    /// Out-degree per source id (dense; see [`EdgeListFile::create`]).
+    degrees: Vec<u64>,
+}
+
+impl EdgeListWriter {
+    pub(crate) fn create(path: &Path, stats: Arc<IoStats>) -> Result<Self> {
+        let meta_path = EdgeListFile::meta_path(path);
+        match std::fs::remove_file(&meta_path) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e).ctx("remove", &meta_path),
+        }
+        // Edge lists are conversion inputs (tests/benches/baselines build
+        // them directly); the ingest fault boundary starts at the import
+        // stage's manifest commit.
+        // flow:allow(fault-surface-bypass) ipa:allow(fault-surface-reach)
+        let w = RecordWriter::<Edge>::create(path, stats).ctx("create", path)?;
+        Ok(EdgeListWriter { path: path.to_path_buf(), w, max_id: None, degrees: Vec::new() })
+    }
+
+    pub(crate) fn push(&mut self, e: Edge) -> Result<()> {
+        self.w.push(&e)?;
+        let top = e.src.max(e.dst);
+        self.max_id = Some(self.max_id.map_or(top, |m| m.max(top)));
+        let src = cast::vertex_index(e.src);
+        if src >= self.degrees.len() {
+            self.degrees.resize(src + 1, 0);
+        }
+        self.degrees[src] += 1;
+        Ok(())
+    }
+
+    pub(crate) fn push_all(&mut self, edges: impl IntoIterator<Item = Edge>) -> Result<()> {
+        edges.into_iter().try_for_each(|e| self.push(e))
+    }
+
+    /// Flush the records and write the metadata sidecar.
+    pub(crate) fn finish(self) -> Result<EdgeListFile> {
+        let num_edges = self.w.finish()?;
+        let num_vertices = self.max_id.map_or(0, |m| cast::widen_u32(m) + 1);
+        let mut unique = BTreeSet::new();
+        let mut sources = 0u64;
+        for &d in self.degrees.iter().filter(|&&d| d > 0) {
+            unique.insert(d);
+            sources += 1;
+        }
+        if sources < num_vertices {
+            unique.insert(0);
+        }
+        let meta = GraphMeta {
+            num_vertices,
+            num_edges,
+            unique_degrees: cast::len_u64(unique.len()),
+            max_degree: unique.last().copied().unwrap_or(0),
+        };
+        let mut mf = MetaFile::new();
+        mf.set("format", "edgelist").set_graph_meta(&meta);
+        mf.save(&EdgeListFile::meta_path(&self.path))?;
+        Ok(EdgeListFile { path: self.path, meta })
     }
 }
 

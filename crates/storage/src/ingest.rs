@@ -35,7 +35,7 @@ use graphz_extsort::SortTimings;
 use graphz_io::{FaultSurface, IoStats, StageManifest};
 use graphz_types::prelude::*;
 
-use crate::chunked::{self, BadRecord, DEFAULT_CHUNK_BYTES};
+use crate::chunked::{self, BadRecord};
 use crate::dos::{scratch_root_for, DosConverter, DosGraph};
 use crate::edgelist::EdgeListFile;
 
@@ -66,8 +66,8 @@ fn detect(src: &Path) -> SourceKind {
 ///
 /// * `import` — source parsing (text/Matrix Market → binary edge list);
 /// * `convert` — the whole DOS conversion (all five stages);
-/// * `sort` — the [`SortTimings`] sink shared by every conversion-stage
-///   sorter, so `sort.form()` isolates run formation *within* `convert`.
+/// * `sort` — the [`SortTimings`] sink shared by all six conversion
+///   sorters, so `sort.form()` isolates run formation *within* `convert`.
 ///
 /// Benchmarks attribute `convert − sort.form()` to merge + emit work: the
 /// conversion's lazy merge drains happen on stage-writer clocks and cannot
@@ -116,7 +116,8 @@ pub struct IngestPipeline {
     budget: MemoryBudget,
     stats: Arc<IoStats>,
     threads: usize,
-    chunk_bytes: u64,
+    /// `None`: derived from the budget ([`chunked::chunk_bytes_for`]).
+    chunk_bytes: Option<u64>,
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
     surface: FaultSurface,
     resume: bool,
@@ -130,7 +131,7 @@ pub struct IngestPipelineBuilder {
     budget: Option<MemoryBudget>,
     stats: Option<Arc<IoStats>>,
     threads: usize,
-    chunk_bytes: u64,
+    chunk_bytes: Option<u64>,
     weight_fn: Option<fn(VertexId, VertexId) -> f32>,
     surface: FaultSurface,
     resume: bool,
@@ -159,10 +160,11 @@ impl IngestPipelineBuilder {
         self
     }
 
-    /// Byte-span size for chunked text parsing (default
-    /// [`DEFAULT_CHUNK_BYTES`]; mostly a test knob).
+    /// Byte-span size for chunked text parsing (default: the largest span
+    /// whose in-flight window of parsed chunks fits the budget, see
+    /// [`chunked::chunk_bytes_for`]; mostly a test knob).
     pub fn chunk_bytes(mut self, chunk_bytes: u64) -> Self {
-        self.chunk_bytes = chunk_bytes;
+        self.chunk_bytes = Some(chunk_bytes);
         self
     }
 
@@ -215,7 +217,7 @@ impl IngestPipelineBuilder {
         if self.threads == 0 {
             return Err(GraphError::InvalidConfig("ingest threads must be >= 1".into()));
         }
-        if self.chunk_bytes == 0 {
+        if self.chunk_bytes == Some(0) {
             return Err(GraphError::InvalidConfig("ingest chunk size must be > 0".into()));
         }
         Ok(IngestPipeline {
@@ -239,7 +241,7 @@ impl IngestPipeline {
             budget: None,
             stats: None,
             threads: 1,
-            chunk_bytes: DEFAULT_CHUNK_BYTES,
+            chunk_bytes: None,
             weight_fn: None,
             surface: FaultSurface::none(),
             resume: false,
@@ -252,13 +254,16 @@ impl IngestPipeline {
     /// configured. Quarantined lines land in `dir/quarantine.txt` with
     /// their global 1-based line numbers.
     fn import_text(&self, src: &Path, imported: &Path, dir: &Path) -> Result<EdgeListFile> {
+        let chunk_bytes = self
+            .chunk_bytes
+            .unwrap_or_else(|| chunked::chunk_bytes_for(self.budget, self.threads));
         let Some(max_bad) = self.max_bad_records else {
             return chunked::import_text_chunked(
                 src,
                 imported,
                 Arc::clone(&self.stats),
                 self.threads,
-                self.chunk_bytes,
+                chunk_bytes,
             );
         };
         let (file, bad) = chunked::import_text_quarantined(
@@ -266,7 +271,7 @@ impl IngestPipeline {
             imported,
             Arc::clone(&self.stats),
             self.threads,
-            self.chunk_bytes,
+            chunk_bytes,
             max_bad,
         )?;
         if !bad.is_empty() {
